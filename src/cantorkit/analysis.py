@@ -24,6 +24,7 @@ from .constructions import (
     Proportional,
     Stage,
     Subdivision,
+    _child_rule,
     iterate,
     kept_runs,
 )
@@ -31,28 +32,22 @@ from .errors import DomainError, ResourceLimitError, ValidationError
 from .exact import ClosedInterval, IntervalUnion, union_normalize
 
 
-def _power_profile(m: int, n: int) -> tuple[int, Fraction, bool]:
+def _power_profile(spec: Power, n: int) -> tuple[int, Fraction, bool]:
     """(component count, component length, stalled) after n rounds.
 
     All components of a power construction at a given round share one
     length, so the pair (count, length) carries the whole geometry.
     """
+    rule = _child_rule(spec)
     count = 1
     length = Fraction(1)
     stalled = False
     for k in range(1, n + 1):
         if stalled:
             break
-        removal = Fraction(1, m ** k)
-        if length > removal:
-            length = (length - removal) / 2
-            count *= 2
-        elif length == removal:
-            length = Fraction(0)
-            count *= 2
-            stalled = True
-        else:
-            stalled = True
+        children, stalled = rule(k, Fraction(0), length)
+        count *= len(children)
+        length = children[0][1] - children[0][0]
     return count, length, stalled
 
 
@@ -64,7 +59,7 @@ def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
         return (1 - spec.p) ** n
     if isinstance(spec, Subdivision):
         return Fraction(spec.n - len(spec.removed), spec.n) ** n
-    count, length, _ = _power_profile(spec.m, n)
+    count, length, _ = _power_profile(spec, n)
     return count * length
 
 
@@ -106,7 +101,7 @@ def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     if isinstance(spec, Subdivision):
         widest = max(r.width for r in kept_runs(spec))
         return Fraction(widest, spec.n) ** n
-    _, length, _ = _power_profile(spec.m, n)
+    _, length, _ = _power_profile(spec, n)
     return length
 
 
@@ -212,13 +207,19 @@ def _transition_graph(es: ExpansionSpec, x: Fraction) -> tuple[dict, int]:
     return succ, start
 
 
-def _alive_states(succ: dict) -> set[int]:
-    """States admitting an infinite run: iteratively drop dead ends."""
-    outdeg = {s: len(ts) for s, ts in succ.items()}
+def _predecessors(succ: dict) -> dict[int, list[int]]:
+    """Reverse edges of the digit automaton."""
     preds: dict[int, list[int]] = defaultdict(list)
     for s, ts in succ.items():
         for _, t in ts:
             preds[t].append(s)
+    return preds
+
+
+def _alive_states(succ: dict) -> set[int]:
+    """States admitting an infinite run: iteratively drop dead ends."""
+    outdeg = {s: len(ts) for s, ts in succ.items()}
+    preds = _predecessors(succ)
     stack = [s for s, c in outdeg.items() if c == 0]
     alive = set(succ)
     while stack:
@@ -245,6 +246,25 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     return start in _alive_states(succ)
 
 
+def _greedy_digits(succ: dict, alive: set[int], start: int) -> tuple[list[int], list[int]]:
+    """(preperiod, period) of the run from an alive `start`.
+
+    Each step takes the smallest digit that leads to an alive state.
+    """
+    digits: list[int] = []
+    seen: dict[int, int] = {}
+    s = start
+    while s not in seen:
+        seen[s] = len(digits)
+        for d, t in succ[s]:
+            if t in alive:
+                digits.append(d)
+                s = t
+                break
+    cut = seen[s]
+    return digits[:cut], digits[cut:]
+
+
 def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     """One eventually periodic allowed-digit expansion of x, if any exists.
 
@@ -257,18 +277,7 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     alive = _alive_states(succ)
     if start not in alive:
         return None
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    s = start
-    while s not in seen:
-        seen[s] = len(digits)
-        for d, t in succ[s]:
-            if t in alive:
-                digits.append(d)
-                s = t
-                break
-    cut = seen[s]
-    return DigitExpansion(es.base, tuple(digits[:cut]), tuple(digits[cut:]))
+    return DigitExpansion(es.base, *_greedy_digits(succ, alive, start))
 
 
 def _forced_digit_position(succ: dict, start: int) -> int:
@@ -280,10 +289,7 @@ def _forced_digit_position(succ: dict, start: int) -> int:
     stack.
     """
     pending = {s: len(ts) for s, ts in succ.items()}
-    preds: dict[int, list[int]] = defaultdict(list)
-    for s, ts in succ.items():
-        for _, t in ts:
-            preds[t].append(s)
+    preds = _predecessors(succ)
     longest: dict[int, int] = {}
     ready = [s for s, c in pending.items() if c == 0]
     while ready:
@@ -321,21 +327,8 @@ def cantor_function(x: Fraction) -> Fraction:
         raise DomainError(
             f"{x} has no ternary expansion avoiding digit 1; "
             f"forced at position {pos}")
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    s = start
-    while s not in seen:
-        seen[s] = len(digits)
-        for d, t in succ[s]:
-            if t in alive:
-                digits.append(d)
-                s = t
-                break
-    cut = seen[s]
-    halved = DigitExpansion(
-        2,
-        tuple(d // 2 for d in digits[:cut]),
-        tuple(d // 2 for d in digits[cut:]))
+    preperiod, period = _greedy_digits(succ, alive, start)
+    halved = DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period])
     return halved.value
 
 
@@ -380,11 +373,12 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
         return NotCharacterizable(
             "removal lengths vary per round, so no single digit grid matches every stage")
     if isinstance(spec, Subdivision):
-        widths = [r.width for r in kept_runs(spec)]
-        if all(w == 1 for w in widths):
-            return Characterized(ExpansionSpec(spec.n, frozenset(spec.kept)))
+        runs = kept_runs(spec)
+        widest = max(r.width for r in runs)
+        if widest == 1:
+            return Characterized(ExpansionSpec(spec.n, frozenset(r.start for r in runs)))
         return NotCharacterizable(
-            f"base {spec.n} needs kept runs of width 1, found width {max(widths)} "
+            f"base {spec.n} needs kept runs of width 1, found width {widest} "
             "(no other bases searched)")
     q = spec.child_ratio
     if q.numerator == 1:

@@ -212,8 +212,15 @@ def _load_spec(raw: str) -> ConstructionSpec:
     return parse_spec(raw)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors raise ParseError, so they end in the JSON error line."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cantorkit",
         description="Exact-arithmetic toolkit for Cantor-like deletion constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,15 +285,18 @@ def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write output file {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        result = _run(args)
+        args = _build_parser().parse_args(argv)
+        _emit(_run(args), args.out)
     except CantorKitError as exc:
         for klass, code, status in _ERROR_CODES:
             if isinstance(exc, klass):
@@ -294,7 +304,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return status
         print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
         return 1
-    _emit(result, args.out)
     return 0
 
 

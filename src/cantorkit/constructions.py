@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DomainError, ResourceLimitError, ValidationError
-from .exact import ClosedInterval, IntervalUnion, union_normalize
+from .exact import ClosedInterval, IntervalUnion
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
 DEFAULT_DEPTH_CAP = 10_000
@@ -106,22 +106,19 @@ class Run:
     span: tuple[Fraction, Fraction]
 
 
-def _maximal_runs(indices: Sequence[int]) -> list[tuple[int, int]]:
-    """(start, width) of each maximal run of consecutive sorted indices."""
-    runs: list[tuple[int, int]] = []
-    for i in indices:
-        if runs and i == runs[-1][0] + runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((i, 1))
-    return runs
-
-
 def kept_runs(spec: Subdivision) -> tuple[Run, ...]:
-    """Kept-part runs with their relative spans inside a unit parent."""
-    return tuple(
-        Run(start, width, (Fraction(start, spec.n), Fraction(start + width, spec.n)))
-        for start, width in _maximal_runs(spec.kept))
+    """Kept-part runs with their relative spans inside a unit parent.
+
+    Built from the sorted removed indices, so the cost does not grow with n.
+    """
+    runs: list[Run] = []
+    start = 0
+    for stop in sorted(spec.removed) + [spec.n]:
+        if stop > start:
+            runs.append(Run(start, stop - start,
+                            (Fraction(start, spec.n), Fraction(stop, spec.n))))
+        start = stop + 1
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -141,68 +138,75 @@ def initial_stage() -> Stage:
     return Stage(0, IntervalUnion((UNIT,)))
 
 
+def _child_rule(spec: ConstructionSpec) -> Callable:
+    """The family's deletion round, as `rule(k, lo, hi) -> (children, stalled)`.
+
+    `children` are the round-k children of a non-degenerate [lo, hi] as
+    ordered, pairwise separated (lo, hi) pairs; an edge point left behind
+    by an open removal comes out as (e, e). `stalled` is true when the
+    round freezes the process: for the power family a removal as long as
+    the component leaves only its two endpoints, and a longer one leaves
+    the component untouched.
+    """
+    if isinstance(spec, Proportional):
+        q = spec.child_ratio
+
+        def rule(k: int, lo: Fraction, hi: Fraction):
+            step = q * (hi - lo)
+            return [(lo, lo + step), (hi - step, hi)], False
+    elif isinstance(spec, Power):
+        m = spec.m
+
+        def rule(k: int, lo: Fraction, hi: Fraction):
+            removal = Fraction(1, m ** k)
+            length = hi - lo
+            if length > removal:
+                half = (length - removal) / 2
+                return [(lo, lo + half), (hi - half, hi)], False
+            if length == removal:
+                return [(lo, lo), (hi, hi)], True
+            return [(lo, hi)], True
+    else:
+        spans = [r.span for r in kept_runs(spec)]
+        left_point = 0 in spec.removed
+        right_point = (spec.n - 1) in spec.removed
+
+        def rule(k: int, lo: Fraction, hi: Fraction):
+            length = hi - lo
+            children = [(lo, lo)] if left_point else []
+            children.extend((lo + a * length, lo + b * length) for a, b in spans)
+            if right_point:
+                children.append((hi, hi))
+            return children, False
+    return rule
+
+
 def next_stage(spec: ConstructionSpec, s: Stage) -> Stage:
     """Apply one deletion round to every non-degenerate component.
 
-    Degenerate points ride along unchanged. For the power family a round
-    whose removal length equals a component's length leaves the two
-    endpoints as points, and a removal longer than the component leaves
-    it untouched; either event stalls the process.
+    Degenerate points ride along unchanged. The round stalls the process
+    when the family's rule says so for any component.
     """
     if s.stalled:
         return s
+    rule = _child_rule(spec)
+    index = s.index + 1
     children: list[ClosedInterval] = []
     stalled = False
-    if isinstance(spec, Proportional):
-        q = spec.child_ratio
-        for iv in s.intervals:
-            if iv.is_point:
-                children.append(iv)
-                continue
-            step = q * iv.length
-            children.append(ClosedInterval(iv.lo, iv.lo + step))
-            children.append(ClosedInterval(iv.hi - step, iv.hi))
-    elif isinstance(spec, Power):
-        removal = Fraction(1, spec.m ** (s.index + 1))
-        for iv in s.intervals:
-            if iv.is_point:
-                children.append(iv)
-                continue
-            if iv.length > removal:
-                half = (iv.length - removal) / 2
-                children.append(ClosedInterval(iv.lo, iv.lo + half))
-                children.append(ClosedInterval(iv.hi - half, iv.hi))
-            elif iv.length == removal:
-                children.append(ClosedInterval(iv.lo, iv.lo))
-                children.append(ClosedInterval(iv.hi, iv.hi))
-                stalled = True
-            else:
-                children.append(iv)
-                stalled = True
-    else:
-        runs = kept_runs(spec)
-        left_point = 0 in spec.removed
-        right_point = (spec.n - 1) in spec.removed
-        for iv in s.intervals:
-            if iv.is_point:
-                children.append(iv)
-                continue
-            if left_point:
-                children.append(ClosedInterval(iv.lo, iv.lo))
-            for run in runs:
-                children.append(ClosedInterval(
-                    iv.lo + run.span[0] * iv.length,
-                    iv.lo + run.span[1] * iv.length))
-            if right_point:
-                children.append(ClosedInterval(iv.hi, iv.hi))
-    return Stage(s.index + 1, union_normalize(children), stalled)
+    for iv in s.intervals:
+        if iv.is_point:
+            children.append(iv)
+            continue
+        pairs, stop = rule(index, iv.lo, iv.hi)
+        children.extend(ClosedInterval(lo, hi) for lo, hi in pairs)
+        stalled = stalled or stop
+    # The rule's children are ordered and separated, so they need no
+    # normalization; IntervalUnion's own check refuses a rule that breaks this.
+    return Stage(index, IntervalUnion(tuple(children)), stalled)
 
 
 def _branch_factor(spec: ConstructionSpec) -> int:
-    if isinstance(spec, Subdivision):
-        extra = int(0 in spec.removed) + int(spec.n - 1 in spec.removed)
-        return len(kept_runs(spec)) + extra
-    return 2
+    return len(_child_rule(spec)(1, Fraction(0), Fraction(1))[0])
 
 
 def iterate(spec: ConstructionSpec, depth: int,
@@ -238,51 +242,20 @@ def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     x = Fraction(x)
     if not 0 <= x <= 1:
         return False
-    if isinstance(spec, Subdivision):
-        runs = [(r.start, r.width) for r in kept_runs(spec)]
+    rule = _child_rule(spec)
     lo, hi = Fraction(0), Fraction(1)
     for k in range(1, depth + 1):
         if lo == hi:
             return True
-        if isinstance(spec, Proportional):
-            step = spec.child_ratio * (hi - lo)
-            if x <= lo + step:
-                hi = lo + step
-            elif x >= hi - step:
-                lo = hi - step
-            else:
-                return False
-        elif isinstance(spec, Power):
-            removal = Fraction(1, spec.m ** k)
-            length = hi - lo
-            if length > removal:
-                half = (length - removal) / 2
-                if x <= lo + half:
-                    hi = lo + half
-                elif x >= hi - half:
-                    lo = hi - half
-                else:
-                    return False
-            elif length == removal:
-                return x == lo or x == hi
-            else:
-                return True
+        children, stalled = rule(k, lo, hi)
+        for a, b in children:
+            if a <= x <= b:
+                lo, hi = a, b
+                break
         else:
-            u = spec.n * (x - lo) / (hi - lo)
-            placed = False
-            for start, width in runs:
-                if u < start:
-                    break
-                if u <= start + width:
-                    length = hi - lo
-                    lo, hi = (lo + Fraction(start, spec.n) * length,
-                              lo + Fraction(start + width, spec.n) * length)
-                    placed = True
-                    break
-            if not placed:
-                if u == 0 or u == spec.n:
-                    return True
-                return False
+            return False
+        if stalled:
+            return True
     return True
 
 

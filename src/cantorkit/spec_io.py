@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .constructions import ConstructionSpec, Power, Proportional, Subdivision
@@ -36,6 +37,17 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _too_many_digits(what: str, text: str) -> ParseError:
+    """Refusal of an integer over the interpreter's int-string limit.
+
+    States the digit count and the limit rather than echoing the input.
+    """
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    return ParseError(
+        f"{what} holds a {digits}-digit integer, over the limit of "
+        f"{sys.get_int_max_str_digits()} digits")
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer) into an exact rational."""
     body = text.strip()
@@ -43,7 +55,10 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"not a fraction: {body!r}")
     if body.endswith("/0"):
         raise ParseError(f"zero denominator in {body!r}")
-    return Fraction(body)
+    try:
+        return Fraction(body)
+    except ValueError:
+        raise _too_many_digits("fraction", body) from None
 
 
 _DOCUMENT_FIELDS = {
@@ -65,6 +80,10 @@ def _parse_document(body: str) -> ConstructionSpec:
         doc = json.loads(body)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
+    except ValueError:
+        raise _too_many_digits("spec document", body) from None
+    except RecursionError:
+        raise ParseError("spec document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("spec document must be a JSON object")
     kind = doc.get("type")
@@ -105,6 +124,8 @@ def parse_spec(text: str) -> ConstructionSpec:
         try:
             m = int(tail)
         except ValueError:
+            if tail.lstrip("+-").isdigit():
+                raise _too_many_digits("svc preset", tail) from None
             raise ParseError(f"svc preset needs an integer base, got {tail!r}") from None
         return Power(m)
     if body.startswith("{"):

@@ -86,6 +86,7 @@ class TestParseSpec:
             '{"type": "subdivision", "removed": [2]}',
             '[1, 2]',
             '{"type"',
+            '{"type": ' + "[" * 100_000,
         ]
         for doc in bad_docs:
             with pytest.raises(ParseError):
@@ -297,6 +298,40 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1
         json.loads(err)
+
+    def test_argument_error_is_a_json_line(self, capsys):
+        assert main(["construct", "--spec", "cantor", "--depth", "abc"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        err = json.loads(out.err)
+        assert err["error"] == "parse" and "--depth" in err["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cantorkit construct")
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "--spec", "cantor", "--x", "1/" + "3" * 5000],
+        ["construct", "--spec", '{"type": "power", "m": ' + "3" * 5000 + "}"],
+        ["construct", "--spec", "svc:" + "3" * 5000],
+    ], ids=["fraction", "document", "svc"])
+    def test_oversized_integer_is_refused_without_echo(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        err = json.loads(out.err)
+        assert err["error"] == "parse"
+        assert "5000-digit" in err["message"] and "3333" not in err["message"]
+
+    def test_unwritable_out_is_a_json_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "dir" / "f"
+        assert main(["construct", "--spec", "cantor", "--out", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        err = json.loads(out.err)
+        assert err["error"] == "parse" and "cannot write" in err["message"]
 
 
 class TestMainPlumbing:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
@@ -77,6 +77,28 @@ class TestKeptRuns:
     def test_adjacent_removed_parts_form_one_gap(self):
         runs = kept_runs(Subdivision(5, frozenset({2, 3})))
         assert [(r.start, r.width) for r in runs] == [(0, 2), (4, 1)]
+
+    def test_matches_a_scan_of_every_part(self):
+        rng = random.Random(4181)
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            removed = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+            runs: list[list[int]] = []
+            for i in range(n):
+                if i in removed:
+                    continue
+                if runs and runs[-1][0] + runs[-1][1] == i:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([i, 1])
+            got = kept_runs(Subdivision(n, removed))
+            assert [[r.start, r.width] for r in got] == runs
+            assert all(r.span == (Fraction(r.start, n), Fraction(r.start + r.width, n))
+                       for r in got)
+
+    def test_cost_does_not_grow_with_the_part_count(self):
+        runs = kept_runs(Subdivision(10 ** 7, frozenset({1})))
+        assert [(r.start, r.width) for r in runs] == [(0, 1), (2, 10 ** 7 - 2)]
 
 
 class TestNextStage:
@@ -290,3 +312,80 @@ def test_verdict_consistency_with_stage_descent(x, preset):
     elif member:
         for depth in (5, 20):
             assert stage_membership(spec, x, depth)
+
+
+def _own_round(spec, k, lo, hi):
+    """One deletion round on a non-degenerate [lo, hi], written out from the
+    family definitions: (pieces left, whether the round stalls)."""
+    length = hi - lo
+    if isinstance(spec, Proportional):
+        gap = spec.p * length
+        mid = (lo + hi) / 2
+        return [(lo, mid - gap / 2), (mid + gap / 2, hi)], False
+    if isinstance(spec, Power):
+        removal = Fraction(1, spec.m ** k)
+        if removal > length:
+            return [(lo, hi)], True
+        mid = (lo + hi) / 2
+        return [(lo, mid - removal / 2), (mid + removal / 2, hi)], removal == length
+    # Every kept part is closed, and both edges of the component survive
+    # the open removals; touching kept parts merge when normalized.
+    part = length / spec.n
+    pieces = [(lo, lo), (hi, hi)]
+    pieces += [(lo + i * part, lo + (i + 1) * part)
+               for i in range(spec.n) if i not in spec.removed]
+    return pieces, False
+
+
+def _own_stages(spec, depth):
+    """(normalized union, stalled) for stages 0..depth."""
+    union, stalled = IntervalUnion.from_pairs([(0, 1)]), False
+    out = [(union, stalled)]
+    for k in range(1, depth + 1):
+        if not stalled:
+            nxt = []
+            for iv in union:
+                if iv.is_point:
+                    nxt.append((iv.lo, iv.hi))
+                    continue
+                pieces, stop = _own_round(spec, k, iv.lo, iv.hi)
+                nxt += pieces
+                stalled = stalled or stop
+            union = IntervalUnion.from_pairs(nxt)
+        out.append((union, stalled))
+    return out
+
+
+@st.composite
+def specs_with_depth(draw):
+    family = draw(st.sampled_from(["proportional", "power", "subdivision"]))
+    if family == "proportional":
+        den = draw(st.integers(2, 12))
+        return Proportional(Fraction(draw(st.integers(1, den - 1)), den)), draw(
+            st.integers(0, 6))
+    if family == "power":
+        return Power(draw(st.integers(2, 6))), draw(st.integers(0, 6))
+    n = draw(st.integers(3, 7))
+    removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return Subdivision(n, frozenset(removed)), draw(st.integers(0, 4 if n > 5 else 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs_with_depth())
+@example((Power(2), 6))
+@example((Subdivision(3, frozenset({0})), 6))
+@example((Subdivision(5, frozenset({0, 4})), 5))
+@example((Subdivision(6, frozenset({0, 1, 5})), 4))
+def test_stages_match_the_family_definitions(case):
+    spec, depth = case
+    own = _own_stages(spec, depth)
+    stages = iterate(spec, depth)
+    for d, (union, stalled) in enumerate(own):
+        assert stages[d].intervals == union, (spec, d)
+        assert stages[d].stalled == stalled, (spec, d)
+        ends = union.endpoints()
+        gaps = [(a.hi + b.lo) / 2 for a, b in zip(union, union.intervals[1:])]
+        for x in ends:
+            assert stage_membership(spec, x, d), (spec, d, x)
+        for x in gaps:
+            assert not stage_membership(spec, x, d), (spec, d, x)
