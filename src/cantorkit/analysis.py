@@ -25,42 +25,48 @@ from .constructions import (
     Stage,
     Subdivision,
     _child_rule,
+    _kept_grid,
     iterate,
-    kept_runs,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError
 from .exact import ClosedInterval, IntervalUnion, union_normalize
 
 
-def _power_profile(spec: Power, n: int) -> tuple[int, Fraction, bool]:
-    """(component count, component length, stalled) after n rounds.
+def _length_census(spec: ConstructionSpec, n: int) -> tuple[Counter, bool]:
+    """(component lengths with multiplicities, stalled) after n rounds.
 
-    All components of a power construction at a given round share one
-    length, so the pair (count, length) carries the whole geometry.
+    Every family's round is translation invariant, so the children of a
+    component depend only on its length: the rule is applied once per
+    distinct length, to [0, L], and the stage itself is never built.
+    Degenerate points ride along unchanged.
     """
     rule = _child_rule(spec)
-    count = 1
-    length = Fraction(1)
+    census = Counter({Fraction(1): 1})
     stalled = False
     for k in range(1, n + 1):
         if stalled:
             break
-        children, stalled = rule(k, Fraction(0), length)
-        count *= len(children)
-        length = children[0][1] - children[0][0]
-    return count, length, stalled
+        nxt: Counter = Counter()
+        for length, count in census.items():
+            if not length:
+                nxt[length] += count
+                continue
+            children, stop = rule(k, Fraction(0), length)
+            stalled = stalled or stop
+            for a, b in children:
+                nxt[b - a] += count
+        census = nxt
+    return census, stalled
 
 
 def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
     """Exact total length after n rounds, by closed recursion."""
     if n < 0:
         raise ValidationError("stage index must be nonnegative")
-    if isinstance(spec, Proportional):
-        return (1 - spec.p) ** n
-    if isinstance(spec, Subdivision):
-        return Fraction(spec.n - len(spec.removed), spec.n) ** n
-    count, length, _ = _power_profile(spec, n)
-    return count * length
+    if isinstance(spec, Power):
+        return sum(length * count for length, count in _length_census(spec, n)[0].items())
+    d, runs = _kept_grid(spec)
+    return Fraction(sum(b - a for a, b in runs), d) ** n
 
 
 def limit_measure(spec: ConstructionSpec) -> Fraction:
@@ -72,9 +78,7 @@ def limit_measure(spec: ConstructionSpec) -> Fraction:
     leaving (m - 3) / (m - 2); at m = 2 the round-2 removal exactly
     exhausts the components and only finitely many points survive.
     """
-    if isinstance(spec, (Proportional, Subdivision)):
-        return Fraction(0)
-    if spec.m == 2:
+    if not isinstance(spec, Power) or spec.m == 2:
         return Fraction(0)
     return Fraction(spec.m - 3, spec.m - 2)
 
@@ -89,20 +93,16 @@ def limit_is_degenerate(spec: ConstructionSpec) -> bool:
 def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     """Largest component length at stage n, in closed form.
 
-    Proportional children all share length ((1-p)/2)**n; subdivision
-    children scale by run width / n per round, so the widest run
-    dominates; power components share one length tracked by the profile
+    Children scale by run width / d per round, so the widest kept run
+    dominates; power components share one length tracked by the census
     recurrence.
     """
     if n < 0:
         raise ValidationError("stage index must be nonnegative")
-    if isinstance(spec, Proportional):
-        return spec.child_ratio ** n
-    if isinstance(spec, Subdivision):
-        widest = max(r.width for r in kept_runs(spec))
-        return Fraction(widest, spec.n) ** n
-    _, length, _ = _power_profile(spec, n)
-    return length
+    if isinstance(spec, Power):
+        return max(_length_census(spec, n)[0])
+    d, runs = _kept_grid(spec)
+    return Fraction(max(b - a for a, b in runs), d) ** n
 
 
 @dataclass(frozen=True)
@@ -216,21 +216,25 @@ def _predecessors(succ: dict) -> dict[int, list[int]]:
     return preds
 
 
-def _alive_states(succ: dict) -> set[int]:
-    """States admitting an infinite run: iteratively drop dead ends."""
+def _dead_ends(succ: dict) -> dict[int, int]:
+    """States with no infinite run, each with its longest allowed run.
+
+    Dead ends are peeled iteratively; a state is peeled only after every
+    one of its successors, so its longest run is known from theirs.
+    """
     outdeg = {s: len(ts) for s, ts in succ.items()}
     preds = _predecessors(succ)
     stack = [s for s, c in outdeg.items() if c == 0]
-    alive = set(succ)
+    dead: dict[int, int] = {}
     while stack:
         s = stack.pop()
-        alive.discard(s)
+        dead[s] = 1 + max((dead[t] for _, t in succ[s]), default=-1)
         for pr in preds[s]:
-            if pr in alive:
+            if pr not in dead:
                 outdeg[pr] -= 1
                 if outdeg[pr] == 0:
                     stack.append(pr)
-    return alive
+    return dead
 
 
 def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
@@ -243,11 +247,11 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     if not 0 <= x <= 1:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
     succ, start = _transition_graph(es, x)
-    return start in _alive_states(succ)
+    return start not in _dead_ends(succ)
 
 
-def _greedy_digits(succ: dict, alive: set[int], start: int) -> tuple[list[int], list[int]]:
-    """(preperiod, period) of the run from an alive `start`.
+def _greedy_digits(succ: dict, dead: dict[int, int], start: int) -> tuple[list[int], list[int]]:
+    """(preperiod, period) of the run from a live `start`.
 
     Each step takes the smallest digit that leads to an alive state.
     """
@@ -257,7 +261,7 @@ def _greedy_digits(succ: dict, alive: set[int], start: int) -> tuple[list[int], 
     while s not in seen:
         seen[s] = len(digits)
         for d, t in succ[s]:
-            if t in alive:
+            if t not in dead:
                 digits.append(d)
                 s = t
                 break
@@ -274,32 +278,10 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     if not 0 <= x <= 1:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
     succ, start = _transition_graph(es, x)
-    alive = _alive_states(succ)
-    if start not in alive:
+    dead = _dead_ends(succ)
+    if start in dead:
         return None
-    return DigitExpansion(es.base, *_greedy_digits(succ, alive, start))
-
-
-def _forced_digit_position(succ: dict, start: int) -> int:
-    """First digit position where every allowed prefix from `start` dies.
-
-    Only called when `start` is dead, which makes the whole reachable
-    graph dead and therefore acyclic; the longest surviving prefix is the
-    longest path, computed iteratively to keep deep chains off the Python
-    stack.
-    """
-    pending = {s: len(ts) for s, ts in succ.items()}
-    preds = _predecessors(succ)
-    longest: dict[int, int] = {}
-    ready = [s for s, c in pending.items() if c == 0]
-    while ready:
-        s = ready.pop()
-        longest[s] = 1 + max((longest[t] for _, t in succ[s]), default=-1)
-        for pr in preds[s]:
-            pending[pr] -= 1
-            if pending[pr] == 0:
-                ready.append(pr)
-    return longest[start] + 1
+    return DigitExpansion(es.base, *_greedy_digits(succ, dead, start))
 
 
 CANTOR_TERNARY = ExpansionSpec(3, frozenset({0, 2}))
@@ -321,13 +303,12 @@ def cantor_function(x: Fraction) -> Fraction:
     if not 0 <= x <= 1:
         raise DomainError(f"the function is defined on [0, 1], got {x}")
     succ, start = _transition_graph(CANTOR_TERNARY, x)
-    alive = _alive_states(succ)
-    if start not in alive:
-        pos = _forced_digit_position(succ, start)
+    dead = _dead_ends(succ)
+    if start in dead:
         raise DomainError(
             f"{x} has no ternary expansion avoiding digit 1; "
-            f"forced at position {pos}")
-    preperiod, period = _greedy_digits(succ, alive, start)
+            f"forced at position {dead[start] + 1}")
+    preperiod, period = _greedy_digits(succ, dead, start)
     halved = DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period])
     return halved.value
 
@@ -360,11 +341,11 @@ CharacterizationVerdict = Characterized | NotCharacterizable | MismatchWitness
 def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdict:
     """Digit filter matching the construction, when one exists.
 
-    A subdivision matches base n with the kept digits exactly when every
-    kept run has width 1. A proportional construction is rewritten over
-    its natural equal-parts base: with child ratio 1/b the stages are the
-    base-b strings over {0, b-1}. Only the natural base is examined; the
-    reason strings say so.
+    Both self-similar families are read over their kept-run table: base d
+    with the run starts as digits matches exactly when every kept run has
+    width 1, so a proportional spec with child ratio 1/b gives the base-b
+    strings over {0, b-1}. Only that natural base is examined; the reason
+    strings say so.
     """
     if isinstance(spec, Power):
         if spec.m == 2:
@@ -372,21 +353,17 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
                 "the process stalls to a finite point set, which no digit filter matches")
         return NotCharacterizable(
             "removal lengths vary per round, so no single digit grid matches every stage")
-    if isinstance(spec, Subdivision):
-        runs = kept_runs(spec)
-        widest = max(r.width for r in runs)
-        if widest == 1:
-            return Characterized(ExpansionSpec(spec.n, frozenset(r.start for r in runs)))
+    d, runs = _kept_grid(spec)
+    widest = max(b - a for a, b in runs)
+    if widest == 1:
+        return Characterized(ExpansionSpec(d, frozenset(a for a, _ in runs)))
+    if isinstance(spec, Proportional):
         return NotCharacterizable(
-            f"base {spec.n} needs kept runs of width 1, found width {widest} "
-            "(no other bases searched)")
-    q = spec.child_ratio
-    if q.numerator == 1:
-        base = q.denominator
-        return Characterized(ExpansionSpec(base, frozenset({0, base - 1})))
+            f"children span {Fraction(widest, d)} of the parent, so the natural base {d} "
+            f"needs kept runs of width {widest} (no other bases searched)")
     return NotCharacterizable(
-        f"children span {q} of the parent, so the natural base {q.denominator} "
-        f"needs kept runs of width {q.numerator} (no other bases searched)")
+        f"base {d} needs kept runs of width 1, found width {widest} "
+        "(no other bases searched)")
 
 
 def _digit_prefix_union(es: ExpansionSpec, depth: int) -> IntervalUnion:
@@ -453,12 +430,10 @@ def scale_census(s: Stage) -> list[tuple[Fraction, int]]:
 
 def contraction_ratios(spec: Proportional | Subdivision) -> tuple[Fraction, ...]:
     """Fixed child/parent ratios of one deletion round."""
-    if isinstance(spec, Proportional):
-        q = spec.child_ratio
-        return (q, q)
-    if isinstance(spec, Subdivision):
-        return tuple(Fraction(r.width, spec.n) for r in kept_runs(spec))
-    raise DomainError("power constructions have no fixed child ratios")
+    if isinstance(spec, Power):
+        raise DomainError("power constructions have no fixed child ratios")
+    d, runs = _kept_grid(spec)
+    return tuple(Fraction(b - a, d) for a, b in runs)
 
 
 def similarity_dimension(spec: Proportional | Subdivision) -> float:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from ast import literal_eval
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -18,12 +20,12 @@ from .analysis import (
     Characterized,
     MismatchWitness,
     NotCharacterizable,
+    _length_census,
     cantor_function,
     expansion_characterization,
     limit_is_degenerate,
     limit_measure,
     max_component_length,
-    scale_census,
     similarity_dimension,
     stage_measure,
 )
@@ -36,6 +38,7 @@ from .constructions import (
     MembershipVerdict,
     Power,
     UndecidedMemberToDepth,
+    _check_depth,
     iterate,
     limit_membership,
     stage_membership,
@@ -49,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .render import RenderConfig, render_svg
-from .spec_io import emit_spec, fraction_str, parse_fraction, parse_spec
+from .spec_io import _echo, emit_spec, fraction_str, parse_fraction, parse_spec
 
 _ERROR_CODES = (
     (ParseError, "parse", 2),
@@ -99,10 +102,11 @@ def _characterization_doc(verdict) -> dict:
 
 def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     """Measure, characterization, census, and dimension report."""
-    stages = iterate(spec, depth)
+    _check_depth(spec, depth)
+    lengths, stalled = _length_census(spec, depth)
     measures = [stage_measure(spec, k) for k in range(depth + 1)]
     max_lengths = [max_component_length(spec, k) for k in range(depth + 1)]
-    census = scale_census(stages[-1])
+    census = sorted(lengths.items(), reverse=True)
     characterization = expansion_characterization(spec)
     dimension = None if isinstance(spec, Power) else similarity_dimension(spec)
     doc = {
@@ -112,7 +116,7 @@ def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
         "max_component_lengths": [fraction_str(v) for v in max_lengths],
         "limit_measure": fraction_str(limit_measure(spec)),
         "limit_degenerate": limit_is_degenerate(spec),
-        "stalled": stages[-1].stalled,
+        "stalled": stalled,
         "characterization": _characterization_doc(characterization),
         "scale_census": [
             {"length": fraction_str(length), "count": count} for length, count in census
@@ -212,11 +216,18 @@ def _load_spec(raw: str) -> ConstructionSpec:
     return parse_spec(raw)
 
 
+# argparse writes an offending value as its repr. Only the escapes repr
+# produces are matched, so literal_eval decodes every match.
+_ESCAPE = r"""\\(?:[\\'"tnr]|x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8})"""
+_REPR = re.compile(r"'(?:[^'\\]|%s)*'|" % _ESCAPE + r'"(?:[^"\\]|%s)*"' % _ESCAPE)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors raise ParseError, so they end in the JSON error line."""
 
     def error(self, message: str):
-        raise ParseError(message)
+        raise ParseError(_REPR.sub(
+            lambda m: m[0] if len(m[0]) <= 102 else _echo(literal_eval(m[0])), message))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -37,6 +37,13 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _echo(value: str) -> str:
+    """The repr of an offending value, cut after 100 characters, with its length."""
+    if len(value) <= 100:
+        return repr(value)
+    return f"{value[:100]!r}... ({len(value)} characters)"
+
+
 def _too_many_digits(what: str, text: str) -> ParseError:
     """Refusal of an integer over the interpreter's int-string limit.
 
@@ -52,9 +59,9 @@ def parse_fraction(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer) into an exact rational."""
     body = text.strip()
     if not _FRACTION_RE.match(body):
-        raise ParseError(f"not a fraction: {body!r}")
+        raise ParseError(f"not a fraction: {_echo(body)}")
     if body.endswith("/0"):
-        raise ParseError(f"zero denominator in {body!r}")
+        raise ParseError(f"zero denominator in {_echo(body)}")
     try:
         return Fraction(body)
     except ValueError:
@@ -126,12 +133,12 @@ def parse_spec(text: str) -> ConstructionSpec:
         except ValueError:
             if tail.lstrip("+-").isdigit():
                 raise _too_many_digits("svc preset", tail) from None
-            raise ParseError(f"svc preset needs an integer base, got {tail!r}") from None
+            raise ParseError(f"svc preset needs an integer base, got {_echo(tail)}") from None
         return Power(m)
     if body.startswith("{"):
         return _parse_document(body)
     raise ParseError(
-        f"unknown preset {body!r}; expected one of {sorted(PRESETS)}, "
+        f"unknown preset {_echo(body)}; expected one of {sorted(PRESETS)}, "
         "svc:<m>, or a JSON spec document")
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from cantorkit import (
     Characterized,
     DigitExpansion,
     DomainError,
+    ExcludedAtDepth,
     ExpansionSpec,
     MismatchWitness,
     NotCharacterizable,
+    PRESETS,
     Power,
     Proportional,
     Subdivision,
@@ -25,6 +28,7 @@ from cantorkit import (
     iterate,
     limit_is_degenerate,
     limit_measure,
+    limit_membership,
     max_component_length,
     parse_spec,
     scale_census,
@@ -32,6 +36,7 @@ from cantorkit import (
     stage_measure,
     union_measure,
 )
+from cantorkit.analysis import _length_census
 
 
 class TestStageMeasure:
@@ -203,6 +208,20 @@ class TestCantorFunction:
         with pytest.raises(DomainError):
             cantor_function(Fraction(5, 12))
 
+    def test_forced_position_is_the_step_that_removes_the_point(self):
+        rng = random.Random(1729)
+        cantor = parse_spec("cantor")
+        checked = 0
+        while checked < 500:
+            q = rng.randint(2, 3000)
+            x = Fraction(rng.randint(1, q - 1), q)
+            verdict = limit_membership(cantor, x)
+            if not isinstance(verdict, ExcludedAtDepth):
+                continue
+            with pytest.raises(DomainError, match=f"forced at position {verdict.depth}$"):
+                cantor_function(x)
+            checked += 1
+
     def test_rejects_outside_unit(self):
         with pytest.raises(DomainError):
             cantor_function(Fraction(-1, 3))
@@ -345,6 +364,28 @@ class TestScaleCensus:
             census = scale_census(stage)
             total = sum(count for _, count in census)
             assert total == len(stage.intervals)
+
+
+def _census_cases():
+    rng = random.Random(2718)
+    specs = [parse_spec(name) for name in sorted(PRESETS)]
+    specs += [Power(m) for m in range(2, 7)]
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        specs.append(Subdivision(n, frozenset(rng.sample(range(n), rng.randint(1, n - 1)))))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _census_cases(), ids=repr)
+def test_length_census_matches_the_enumerated_stage(spec):
+    branch = len(iterate(spec, 1)[1].intervals)
+    for n in range(9):
+        if branch ** n > 5000:
+            break
+        stage = iterate(spec, n)[n]
+        counts, stalled = _length_census(spec, n)
+        assert sorted(counts.items(), reverse=True) == scale_census(stage), (spec, n)
+        assert stalled == stage.stalled, (spec, n)
 
 
 class TestSimilarityDimension:

@@ -293,6 +293,14 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "resource"
 
+    def test_analyze_is_refused_where_construct_is(self, capsys):
+        assert main(["analyze", "--spec", "cantor", "--depth", "31"]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "resource", "message": "stage 31 could hold up to 2**31 "
+                       "intervals, over the limit of 1073741824"}
+        assert main(["analyze", "--spec", "cantor", "--depth", "-1"]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "depth must be nonnegative"
+
     def test_error_output_is_a_single_json_line(self, capsys):
         main(["construct", "--spec", "???"])
         err = capsys.readouterr().err
@@ -324,6 +332,29 @@ class TestMainExitCodes:
         err = json.loads(out.err)
         assert err["error"] == "parse"
         assert "5000-digit" in err["message"] and "3333" not in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--spec", "cantor", "--depth", "3" * 5000],
+        ["member", "--spec", "cantor", "--x", "x" * 100_000],
+        ["construct", "--spec", "k" * 100_000],
+    ], ids=["depth", "x", "spec"])
+    def test_oversized_value_is_echoed_in_part(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert len(out.err.encode()) < 512
+        err = json.loads(out.err)
+        assert err["error"] == "parse"
+        assert f"... ({max(map(len, argv))} characters)" in err["message"]
+
+    def test_value_of_100_characters_is_echoed_whole(self, capsys):
+        for argv, message in (
+                (["member", "--spec", "cantor", "--x", "x" * 100],
+                 "not a fraction: '" + "x" * 100 + "'"),
+                (["construct", "--spec", "cantor", "--depth", "3" * 99 + "x"],
+                 "argument --depth: invalid int value: '" + "3" * 99 + "x'")):
+            assert main(argv) == 2
+            assert json.loads(capsys.readouterr().err)["message"] == message
 
     def test_unwritable_out_is_a_json_line(self, tmp_path, capsys):
         target = tmp_path / "missing" / "dir" / "f"

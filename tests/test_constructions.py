@@ -250,6 +250,9 @@ class TestLimitMembership:
         assert v == MemberByEndpoint(depth=1)
         v = limit_membership(Subdivision(4, frozenset({2})), Fraction(1, 4))
         assert v == MemberByEndpoint(depth=2)
+        # a boundary hit on the last step the cap allows still counts
+        v = limit_membership(Subdivision(4, frozenset({2})), Fraction(1, 2), depth_cap=1)
+        assert v == MemberByEndpoint(depth=1)
 
     def test_unit_endpoints(self):
         for preset in ("cantor", "ac", "svc:4"):
@@ -389,3 +392,58 @@ def test_stages_match_the_family_definitions(case):
             assert stage_membership(spec, x, d), (spec, d, x)
         for x in gaps:
             assert not stage_membership(spec, x, d), (spec, d, x)
+
+
+@st.composite
+def grid_specs_with_depth(draw):
+    if draw(st.booleans()):
+        den = draw(st.integers(2, 12))
+        return Proportional(Fraction(draw(st.integers(1, den - 1)), den)), draw(
+            st.integers(0, 5))
+    n = draw(st.integers(3, 7))
+    removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return Subdivision(n, frozenset(removed)), draw(st.integers(0, 3 if n > 5 else 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_specs_with_depth())
+@example((Subdivision(3, frozenset({0})), 5))
+@example((Subdivision(6, frozenset({0, 1, 5})), 3))
+@example((Proportional(Fraction(1, 4)), 5))
+def test_limit_verdicts_match_the_family_definitions(case):
+    # Every stage endpoint is a member, and the midpoint of a gap first
+    # opened at round k is excluded at step k.
+    spec, depth = case
+    own = _own_stages(spec, depth)
+    for k in range(1, depth + 1):
+        union, earlier = own[k][0], own[k - 1][0]
+        for x in union.endpoints():
+            assert verdict_is_member(limit_membership(spec, x)), (spec, k, x)
+        for a, b in zip(union, union.intervals[1:]):
+            mid = (a.hi + b.lo) / 2
+            if earlier.covers(mid):
+                assert limit_membership(spec, mid) == ExcludedAtDepth(k), (spec, k, mid)
+
+
+def test_proportional_is_the_subdivision_that_removes_the_middle_parts():
+    for den in range(2, 13):
+        for num in range(1, den):
+            spec = Proportional(Fraction(num, den))
+            r, s = spec.child_ratio.numerator, spec.child_ratio.denominator
+            twin = Subdivision(s, frozenset(range(r, s - r)))
+            for a, b in zip(iterate(spec, 4), iterate(twin, 4)):
+                assert a.intervals == b.intervals and a.stalled == b.stalled, (spec, twin)
+
+
+def test_power_removal_never_outgrows_the_component():
+    # From [0, 1] the round-(k-1) length L is at least the round-k removal
+    # 1/m**k, with equality only at m = 2, k = 2, where the process stalls.
+    for m in range(2, 41):
+        length = Fraction(1)
+        for k in range(1, 65):
+            removal = Fraction(1, m ** k)
+            assert length >= removal, (m, k)
+            if length == removal:
+                assert (m, k) == (2, 2)
+                break
+            length = (length - removal) / 2
