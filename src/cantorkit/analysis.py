@@ -12,10 +12,11 @@ query terminates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
 from .constructions import (
     MAX_ENUMERATED_INTERVALS,
@@ -25,11 +26,10 @@ from .constructions import (
     Stage,
     Subdivision,
     _child_rule,
+    _grid_stages,
     _kept_grid,
-    iterate,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError
-from .exact import ClosedInterval, IntervalUnion, union_normalize
 
 
 def _length_census(spec: ConstructionSpec, n: int) -> tuple[Counter, bool]:
@@ -37,26 +37,26 @@ def _length_census(spec: ConstructionSpec, n: int) -> tuple[Counter, bool]:
 
     Every family's round is translation invariant, so the children of a
     component depend only on its length: the rule is applied once per
-    distinct length, to [0, L], and the stage itself is never built.
-    Degenerate points ride along unchanged.
+    distinct integer length L over the family grid, to [0, L], and the
+    stage itself is never built. Degenerate points ride along unchanged.
     """
-    rule = _child_rule(spec)
-    census = Counter({Fraction(1): 1})
-    stalled = False
-    for k in range(1, n + 1):
+    factor, rule = _child_rule(spec)
+    census = Counter({1: 1})
+    den, c, stalled = 1, 1, False
+    for _ in range(n):
         if stalled:
             break
         nxt: Counter = Counter()
         for length, count in census.items():
             if not length:
-                nxt[length] += count
+                nxt[0] += count
                 continue
-            children, stop = rule(k, Fraction(0), length)
+            children, stop = rule(c, 0, length)
             stalled = stalled or stop
             for a, b in children:
                 nxt[b - a] += count
-        census = nxt
-    return census, stalled
+        census, den, c = nxt, den * factor, 2 * c
+    return Counter({Fraction(length, den): count for length, count in census.items()}), stalled
 
 
 def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
@@ -366,35 +366,42 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
         "(no other bases searched)")
 
 
-def _digit_prefix_union(es: ExpansionSpec, depth: int) -> IntervalUnion:
-    """Closure of the points whose first `depth` digits can all be allowed."""
-    width = Fraction(1, es.base ** depth)
-    out = []
-    for digits in product(sorted(es.allowed), repeat=depth):
-        acc = 0
-        for d in digits:
-            acc = acc * es.base + d
-        lo = Fraction(acc, es.base ** depth)
-        out.append(ClosedInterval(lo, lo + width))
-    return union_normalize(out)
+def _prefix_runs(prefixes: list[int]) -> list[tuple[int, int]]:
+    """Increasing prefix integers p, as merged runs of the cells [p, p + 1]."""
+    runs = []
+    start = stop = prefixes[0]
+    for p in prefixes:
+        if p != stop:
+            runs.append((start, stop))
+            start = p
+        stop = p + 1
+    runs.append((start, stop))
+    return runs
 
 
-def _set_difference_witness(a: IntervalUnion, b: IntervalUnion) -> Fraction:
-    """Smallest grid point separating two distinct normalized unions.
+def _separating_point(a: list[tuple[int, int]], b: list[tuple[int, int]],
+                      den: int) -> Fraction:
+    """Smallest grid point in exactly one of two distinct unions over den.
 
-    Membership in a closed union is constant between consecutive
-    endpoints, so checking every endpoint and every midpoint of adjacent
-    endpoints is exhaustive.
+    Both are ordered, separated integer pairs. Membership in a closed union
+    is constant between consecutive endpoints, so checking every endpoint
+    and every midpoint of adjacent endpoints, on the doubled grid, is
+    exhaustive.
     """
-    pts = sorted(set(a.endpoints()) | set(b.endpoints()))
-    candidates: list[Fraction] = []
-    for i, p in enumerate(pts):
-        if i:
-            candidates.append((pts[i - 1] + p) / 2)
-        candidates.append(p)
-    for c in candidates:
-        if a.covers(c) != b.covers(c):
-            return c
+    sides = [([2 * lo for lo, _ in pairs], [2 * hi for _, hi in pairs]) for pairs in (a, b)]
+
+    def covers(side, x: int) -> bool:
+        los, his = side
+        i = bisect_right(los, x)
+        return i > 0 and x <= his[i - 1]
+
+    pts = sorted({2 * e for pairs in (a, b) for pair in pairs for e in pair})
+    candidates = [pts[0]]
+    for prev, cur in zip(pts, pts[1:]):
+        candidates += [(prev + cur) // 2, cur]
+    for x in candidates:
+        if covers(sides[0], x) != covers(sides[1], x):
+            return Fraction(x, 2 * den)
     raise AssertionError("unions differ but no separating point was found")
 
 
@@ -405,7 +412,10 @@ def characterization_equivalence_check(
 
     Returns Characterized when they agree as point sets at every level up
     to `depth`, else a MismatchWitness holding the first level that
-    differs and an explicit rational in the symmetric difference.
+    differs and an explicit rational in the symmetric difference. Level k
+    compares integer pairs: the stage over its grid and the closure of the
+    points whose first k digits can all be allowed, as merged runs over
+    base**k, both lifted to the least common denominator.
     """
     if depth < 1:
         raise ValidationError("comparison depth must be at least 1")
@@ -413,12 +423,19 @@ def characterization_equivalence_check(
         raise ResourceLimitError(
             f"digit enumeration would build up to {len(es.allowed)}**{depth} intervals, "
             f"over the limit of {max_intervals}")
-    stages = iterate(spec, depth, max_intervals=max_intervals)
+    stages = _grid_stages(spec, depth, max_intervals=max_intervals)
+    digits = sorted(es.allowed)
+    prefixes, scale = [0], 1
     for d in range(1, depth + 1):
-        stage_set = stages[d].intervals
-        digit_set = _digit_prefix_union(es, d)
+        prefixes = [p * es.base + g for p in prefixes for g in digits]
+        scale *= es.base
+        den, pairs, _ = stages[d]
+        common = lcm(den, scale)
+        up, cells = common // den, common // scale
+        stage_set = [(lo * up, hi * up) for lo, hi in pairs]
+        digit_set = [(lo * cells, hi * cells) for lo, hi in _prefix_runs(prefixes)]
         if stage_set != digit_set:
-            return MismatchWitness(d, _set_difference_witness(stage_set, digit_set))
+            return MismatchWitness(d, _separating_point(stage_set, digit_set, common))
     return Characterized(es)
 
 

@@ -13,6 +13,7 @@ import re
 import sys
 from ast import literal_eval
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from .constructions import (
     Power,
     UndecidedMemberToDepth,
     _check_depth,
-    iterate,
+    _grid_stages,
     limit_membership,
     stage_membership,
     verdict_is_member,
@@ -62,23 +63,23 @@ _ERROR_CODES = (
 )
 
 
-def _interval_str(iv) -> str:
-    return f"[{fraction_str(iv.lo)}, {fraction_str(iv.hi)}]"
-
-
 def cmd_construct(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
-    """Stages 0..depth; text is one line per stage, JSON nested fraction pairs."""
-    stages = iterate(spec, depth)
+    """Stages 0..depth; text is one line per stage, JSON nested fraction pairs.
+
+    Endpoints are written straight from the integer grid, one gcd each.
+    """
+    def frac(a: int, den: int) -> str:
+        g = gcd(a, den)
+        return f"{a // g}/{den // g}"
+
+    stages = _grid_stages(spec, depth)
     if fmt == "json":
-        payload = [
-            [[fraction_str(iv.lo), fraction_str(iv.hi)] for iv in st.intervals]
-            for st in stages
-        ]
-        return json.dumps(payload)
+        return json.dumps([[[frac(a, den), frac(b, den)] for a, b in pairs]
+                           for den, pairs, _ in stages])
     lines = []
-    for st in stages:
-        line = " ∪ ".join(_interval_str(iv) for iv in st.intervals)
-        if st.stalled:
+    for den, pairs, stalled in stages:
+        line = " ∪ ".join(f"[{frac(a, den)}, {frac(b, den)}]" for a, b in pairs)
+        if stalled:
             line += " [stalled]"
         lines.append(line)
     return "\n".join(lines)
@@ -222,10 +223,17 @@ _ESCAPE = r"""\\(?:[\\'"tnr]|x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8})"""
 _REPR = re.compile(r"'(?:[^'\\]|%s)*'|" % _ESCAPE + r'"(?:[^"\\]|%s)*"' % _ESCAPE)
 
 
+_UNRECOGNIZED = "unrecognized arguments: "
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors raise ParseError, so they end in the JSON error line."""
 
     def error(self, message: str):
+        head, sep, extras = message.partition(_UNRECOGNIZED)
+        if sep and len(extras) > 100:
+            # argparse joins the extra arguments unquoted.
+            raise ParseError(head + sep + _echo(extras))
         raise ParseError(_REPR.sub(
             lambda m: m[0] if len(m[0]) <= 102 else _echo(literal_eval(m[0])), message))
 

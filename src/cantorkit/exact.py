@@ -32,8 +32,12 @@ class ClosedInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # An exact Fraction is kept as given; anything else, a subclass
+        # included, is converted.
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValidationError(
                 f"interval endpoints out of order: [{self.lo}, {self.hi}]")

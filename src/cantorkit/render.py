@@ -1,17 +1,17 @@
 """Deterministic SVG 1.1 diagrams of construction stages.
 
-One horizontal row per stage, top to bottom. Exact rational coordinates
-are converted to whole pixels with round-half-up integer arithmetic, so
-equal inputs always produce byte-identical documents. Degenerate point
-components appear as marks one pixel wide.
+One horizontal row per stage, top to bottom. Stage endpoints a/den on the
+family's integer grid are converted to whole pixels with round-half-up
+integer arithmetic, (2*a*inner + den) // (2*den), so equal inputs always
+produce byte-identical documents. Degenerate point components appear as
+marks one pixel wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .constructions import ConstructionSpec, iterate
+from .constructions import ConstructionSpec, _grid_stages
 from .errors import ValidationError
 
 _PAD = 10
@@ -36,15 +36,11 @@ class RenderConfig:
             raise ValidationError("render depth must be nonnegative")
 
 
-def _half_up(x: Fraction) -> int:
-    """Nearest integer, ties away from zero; exact for nonnegative input."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> str:
-    stages = iterate(spec, cfg.depth)
+    stages = _grid_stages(spec, cfg.depth)
     gutter = _GUTTER if cfg.label else 0
     inner = cfg.width_px - gutter - 2 * _PAD
+    left = gutter + _PAD
     height = 2 * _PAD + len(stages) * cfg.row_height_px
     bar_h = max(1, cfg.row_height_px - _BAR_GAP)
     lines = [
@@ -55,19 +51,24 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
         f'<rect width="{cfg.width_px}" height="{height}" fill="#ffffff"/>',
         '<g fill="#1f2430">',
     ]
-    for row, stage in enumerate(stages):
+    for row, (den, pairs, _) in enumerate(stages):
         y = _PAD + row * cfg.row_height_px
-        for iv in stage.intervals:
-            x0 = gutter + _PAD + _half_up(iv.lo * inner)
-            x1 = gutter + _PAD + _half_up(iv.hi * inner)
+        scale, twice = 2 * inner, 2 * den
+        for a, b in pairs:
+            x0 = left + (scale * a + den) // twice
+            x1 = left + (scale * b + den) // twice
             w = max(1, x1 - x0)
             lines.append(f'<rect x="{x0}" y="{y}" width="{w}" height="{bar_h}"/>')
     lines.append('</g>')
     if cfg.label:
         lines.append('<g font-family="monospace" font-size="12" fill="#555555">')
-        for row, stage in enumerate(stages):
+        index = 0
+        for row, (_, _, stalled) in enumerate(stages):
+            # A stalled stage repeats, index and all.
             y = _PAD + row * cfg.row_height_px + bar_h - 1
-            lines.append(f'<text x="{_PAD}" y="{y}">{stage.index}</text>')
+            lines.append(f'<text x="{_PAD}" y="{y}">{index}</text>')
+            if not stalled:
+                index += 1
         lines.append('</g>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

@@ -5,11 +5,17 @@ many deletion rounds, written as (lo, hi) fraction strings. The tables
 were derived by hand from the construction rules and double-checked via
 measure bookkeeping (the stage-n total must follow the closed recursion
 for the family).
+
+`_own_stages` builds any stage in `Fraction`s straight from the family
+definitions, without the package's deletion rule, so the package's
+integer-grid kernel can be tested against it.
 """
 
 from fractions import Fraction
 
-from cantorkit import IntervalUnion
+from hypothesis import strategies as st
+
+from cantorkit import IntervalUnion, Power, Proportional, Subdivision
 
 
 def table(pairs) -> IntervalUnion:
@@ -71,3 +77,59 @@ EXPECTED_STAGES: dict[str, dict[int, list[tuple[str, str]]]] = {
         2: [("0", "0"), ("1/4", "1/4"), ("3/4", "3/4"), ("1", "1")],
     },
 }
+
+
+def _own_round(spec, k, lo, hi):
+    """One deletion round on a non-degenerate [lo, hi], written out from the
+    family definitions: (pieces left, whether the round stalls)."""
+    length = hi - lo
+    if isinstance(spec, Proportional):
+        gap = spec.p * length
+        mid = (lo + hi) / 2
+        return [(lo, mid - gap / 2), (mid + gap / 2, hi)], False
+    if isinstance(spec, Power):
+        removal = Fraction(1, spec.m ** k)
+        if removal > length:
+            return [(lo, hi)], True
+        mid = (lo + hi) / 2
+        return [(lo, mid - removal / 2), (mid + removal / 2, hi)], removal == length
+    # Every kept part is closed, and both edges of the component survive
+    # the open removals; touching kept parts merge when normalized.
+    part = length / spec.n
+    pieces = [(lo, lo), (hi, hi)]
+    pieces += [(lo + i * part, lo + (i + 1) * part)
+               for i in range(spec.n) if i not in spec.removed]
+    return pieces, False
+
+
+def _own_stages(spec, depth):
+    """(normalized union, stalled) for stages 0..depth."""
+    union, stalled = IntervalUnion.from_pairs([(0, 1)]), False
+    out = [(union, stalled)]
+    for k in range(1, depth + 1):
+        if not stalled:
+            nxt = []
+            for iv in union:
+                if iv.is_point:
+                    nxt.append((iv.lo, iv.hi))
+                    continue
+                pieces, stop = _own_round(spec, k, iv.lo, iv.hi)
+                nxt += pieces
+                stalled = stalled or stop
+            union = IntervalUnion.from_pairs(nxt)
+        out.append((union, stalled))
+    return out
+
+
+@st.composite
+def specs_with_depth(draw):
+    family = draw(st.sampled_from(["proportional", "power", "subdivision"]))
+    if family == "proportional":
+        den = draw(st.integers(2, 12))
+        return Proportional(Fraction(draw(st.integers(1, den - 1)), den)), draw(
+            st.integers(0, 6))
+    if family == "power":
+        return Power(draw(st.integers(2, 6))), draw(st.integers(0, 6))
+    n = draw(st.integers(3, 7))
+    removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return Subdivision(n, frozenset(removed)), draw(st.integers(0, 4 if n > 5 else 6))

@@ -337,7 +337,8 @@ class TestMainExitCodes:
         ["construct", "--spec", "cantor", "--depth", "3" * 5000],
         ["member", "--spec", "cantor", "--x", "x" * 100_000],
         ["construct", "--spec", "k" * 100_000],
-    ], ids=["depth", "x", "spec"])
+        ["construct", "--spec", "cantor", "z" * 100_000],
+    ], ids=["depth", "x", "spec", "extra"])
     def test_oversized_value_is_echoed_in_part(self, argv, capsys):
         assert main(argv) == 2
         out = capsys.readouterr()
@@ -352,7 +353,9 @@ class TestMainExitCodes:
                 (["member", "--spec", "cantor", "--x", "x" * 100],
                  "not a fraction: '" + "x" * 100 + "'"),
                 (["construct", "--spec", "cantor", "--depth", "3" * 99 + "x"],
-                 "argument --depth: invalid int value: '" + "3" * 99 + "x'")):
+                 "argument --depth: invalid int value: '" + "3" * 99 + "x'"),
+                (["construct", "--spec", "cantor", "z" * 100],
+                 "unrecognized arguments: " + "z" * 100)):
             assert main(argv) == 2
             assert json.loads(capsys.readouterr().err)["message"] == message
 

@@ -1,0 +1,247 @@
+"""The integer-grid stage kernel against plain `Fraction` definitions.
+
+Every stage path (construct, render, the characterization check and
+`next_stage`) runs on integer endpoints over the family grid. Each is
+compared here with the same output worked out in `Fraction`s from the
+test's own stage definition (`_own_stages`), which does not use the
+package's deletion rule.
+"""
+
+import json
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cantorkit import (
+    CANTOR_TERNARY,
+    Characterized,
+    ClosedInterval,
+    ExpansionSpec,
+    IntervalUnion,
+    MismatchWitness,
+    Power,
+    RenderConfig,
+    Stage,
+    Subdivision,
+    ValidationError,
+    characterization_equivalence_check,
+    expansion_characterization,
+    fraction_str,
+    initial_stage,
+    iterate,
+    next_stage,
+    parse_spec,
+    render_svg,
+    union_normalize,
+)
+from cantorkit import constructions
+from cantorkit.cli import cmd_construct
+from cantorkit.spec_io import PRESETS
+from reference_stages import _own_round, _own_stages, specs_with_depth
+
+
+EDGE_CASES = [(Power(2), 6), (Subdivision(3, frozenset({0})), 6),
+              (Subdivision(5, frozenset({0, 4})), 5), (Subdivision(6, frozenset({0, 1, 5})), 4)]
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs_with_depth())
+@with_edge_cases
+def test_construct_matches_the_fraction_stages(case):
+    spec, depth = case
+    own = _own_stages(spec, depth)
+    pairs = [[(fraction_str(iv.lo), fraction_str(iv.hi)) for iv in union] for union, _ in own]
+    assert cmd_construct(spec, depth, "json") == json.dumps(
+        [[list(pair) for pair in stage] for stage in pairs])
+    assert cmd_construct(spec, depth, "text") == "\n".join(
+        " ∪ ".join(f"[{lo}, {hi}]" for lo, hi in stage) + (" [stalled]" if stalled else "")
+        for stage, (_, stalled) in zip(pairs, own))
+
+
+def _own_svg(spec, depth, width, row_height, label):
+    """The SVG document, from `_own_stages` and `Fraction` half-up rounding."""
+    own = _own_stages(spec, depth)
+    gutter = 36 if label else 0
+    inner = width - gutter - 20
+    height = 20 + len(own) * row_height
+    bar_h = row_height - 6
+
+    def half_up(x):
+        return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        '<g fill="#1f2430">',
+    ]
+    for row, (union, _) in enumerate(own):
+        y = 10 + row * row_height
+        for iv in union:
+            x0 = gutter + 10 + half_up(iv.lo * inner)
+            x1 = gutter + 10 + half_up(iv.hi * inner)
+            lines.append(f'<rect x="{x0}" y="{y}" width="{max(1, x1 - x0)}" height="{bar_h}"/>')
+    lines.append('</g>')
+    if label:
+        # Stages after the first stalled one repeat its index.
+        stall = next((k for k, (_, stalled) in enumerate(own) if stalled), len(own))
+        lines.append('<g font-family="monospace" font-size="12" fill="#555555">')
+        for row in range(len(own)):
+            lines.append(f'<text x="10" y="{10 + row * row_height + bar_h - 1}">'
+                         f'{min(row, stall)}</text>')
+        lines.append('</g>')
+    lines.append('</svg>')
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + [f"svc:{m}" for m in range(2, 7)])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 6), st.integers(100, 1200), st.integers(8, 40), st.booleans())
+@example(6, 101, 9, True)
+def test_render_matches_a_fraction_renderer(name, depth, width, row_height, label):
+    spec = parse_spec(name)
+    cfg = RenderConfig(width_px=width, row_height_px=row_height, depth=depth, label=label)
+    assert render_svg(spec, cfg) == _own_svg(spec, depth, width, row_height, label)
+
+
+def _digit_prefix_union(es, depth):
+    """Closure of the points whose first `depth` digits can all be allowed."""
+    width = Fraction(1, es.base ** depth)
+    out = []
+    for digits in product(sorted(es.allowed), repeat=depth):
+        acc = 0
+        for d in digits:
+            acc = acc * es.base + d
+        lo = Fraction(acc, es.base ** depth)
+        out.append(ClosedInterval(lo, lo + width))
+    return union_normalize(out)
+
+
+def _set_difference_witness(a, b):
+    """Smallest endpoint, or midpoint of adjacent endpoints, in exactly one union."""
+    pts = sorted(set(a.endpoints()) | set(b.endpoints()))
+    candidates = []
+    for i, p in enumerate(pts):
+        if i:
+            candidates.append((pts[i - 1] + p) / 2)
+        candidates.append(p)
+    for c in candidates:
+        if a.covers(c) != b.covers(c):
+            return c
+    raise AssertionError("unions differ but no separating point was found")
+
+
+def _own_check(spec, es, depth):
+    own = _own_stages(spec, depth)
+    for d in range(1, depth + 1):
+        digit_set = _digit_prefix_union(es, d)
+        if own[d][0] != digit_set:
+            return MismatchWitness(d, _set_difference_witness(own[d][0], digit_set))
+    return Characterized(es)
+
+
+@st.composite
+def digit_filters(draw, spec):
+    found = expansion_characterization(spec)
+    if isinstance(found, Characterized) and draw(st.booleans()):
+        return found.spec
+    base = draw(st.integers(2, 9))
+    allowed = draw(st.sets(st.integers(0, base - 1), min_size=1, max_size=base - 1))
+    return ExpansionSpec(base, frozenset(allowed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), specs_with_depth())
+def test_characterization_check_matches_the_fraction_reference(data, case):
+    spec, depth = case
+    depth = max(1, min(depth, 5))
+    es = data.draw(digit_filters(spec))
+    assert characterization_equivalence_check(spec, es, depth) == _own_check(spec, es, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs_with_depth())
+@with_edge_cases
+def test_next_stage_chain_matches_iterate(case):
+    spec, depth = case
+    chain = [initial_stage()]
+    for _ in range(depth):
+        chain.append(next_stage(spec, chain[-1]))
+    assert chain == iterate(spec, depth)
+    assert [(s.intervals, s.stalled) for s in chain] == _own_stages(spec, depth)
+
+
+@st.composite
+def off_grid_stages(draw):
+    spec = draw(st.sampled_from([parse_spec(name) for name in sorted(PRESETS)]
+                                + [Power(m) for m in range(2, 7)]))
+    ends = draw(st.lists(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=8))
+    ends = sorted(set(ends))
+    pairs = [(ends[i], ends[min(i + 1, len(ends) - 1)]) for i in range(0, len(ends), 2)]
+    return spec, Stage(draw(st.integers(0, 4)), IntervalUnion.from_pairs(pairs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(off_grid_stages())
+def test_next_stage_on_a_stage_off_the_family_grid(case):
+    # A power removal at least as long as its component leaves the two
+    # endpoints and stalls the process.
+    spec, stage = case
+    k = stage.index + 1
+    pieces, stalled = [], False
+    for iv in stage.intervals:
+        if iv.is_point:
+            pieces.append((iv.lo, iv.hi))
+        elif isinstance(spec, Power) and Fraction(1, spec.m ** k) >= iv.length:
+            pieces += [(iv.lo, iv.lo), (iv.hi, iv.hi)]
+            stalled = True
+        else:
+            out, stop = _own_round(spec, k, iv.lo, iv.hi)
+            pieces += out
+            stalled = stalled or stop
+    assert next_stage(spec, stage) == Stage(k, IntervalUnion.from_pairs(pieces), stalled)
+
+
+def test_stage_paths_build_no_intervals(monkeypatch):
+    # Construct, render and the characterization check read the integer
+    # grid directly; a ClosedInterval built on their path means a route back
+    # through Fractions.
+    built = []
+    post_init = ClosedInterval.__post_init__
+
+    def counting(self):
+        built.append((self.lo, self.hi))
+        post_init(self)
+
+    monkeypatch.setattr(ClosedInterval, "__post_init__", counting)
+    spec = parse_spec("cantor")
+    render_svg(spec, RenderConfig(depth=8, label=True))
+    cmd_construct(spec, 8, "json")
+    characterization_equivalence_check(spec, CANTOR_TERNARY, 8)
+    assert built == []
+    iterate(spec, 1)
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("children", [
+    lambda a, b: [(3 * a, 3 * a + 2 * (b - a)), (3 * a + (b - a), 3 * b)],
+    lambda a, b: [(3 * a, 3 * a + (b - a)), (3 * a + (b - a), 3 * b)],
+    lambda a, b: [(3 * a + (b - a), 3 * a)],
+], ids=["overlap", "touch", "reversed"])
+def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
+    monkeypatch.setattr(constructions, "_child_rule",
+                        lambda spec: (3, lambda c, a, b: (children(a, b), False)))
+    for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
+                  lambda s: render_svg(s, RenderConfig(depth=2))):
+        with pytest.raises(ValidationError, match="out of order, overlapping or touching the interval before it"):
+            build(parse_spec("cantor"))
