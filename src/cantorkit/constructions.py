@@ -25,8 +25,9 @@ read from one table of kept runs (`_kept_grid`). Limit membership for them
 is decided without enumerating stages: both are scale invariant, so it
 suffices to track the relative position of the query point inside its
 (unique) current component and watch for boundary hits, removal hits, and
-revisited states. The power family has no scale invariance and falls back
-to a capped component descent.
+revisited states. The power family has no scale invariance, so its walk
+(`_power_membership`) follows the component holding x = p/q down to the
+cap, with the offset and length in integers on the grid q * (2m)**k.
 """
 
 from __future__ import annotations
@@ -389,28 +390,31 @@ def verdict_is_member(v: MembershipVerdict) -> bool | None:
 
 
 def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVerdict:
-    """Component descent; the power family is not scale invariant.
+    """Component descent in integers; the power family is not scale invariant.
 
-    No removal is longer than its component (see `_child_rule`), so one
-    that is not shorter takes the whole interior at once.
+    With x = p/q, before round k the walk holds the offset r of x from its
+    component's left end and the component's length w, both as integers
+    over q * (2m)**(k-1), and t = 2**(k-1) * q. On the next grid the offset
+    is 2m * r, the component's centre m * w and the removal 1/m**k spans
+    2t around it, so each child is m * w - t long. A removal as long as its
+    component (m = 2, k = 2; none is longer, see `_child_rule`) leaves
+    children of length 0, and the open interval then takes the whole
+    interior.
     """
-    lo, hi = Fraction(0), Fraction(1)
+    m = spec.m
+    r, w = x.numerator, x.denominator
+    t = w
     for k in range(1, depth_cap + 1):
-        if x == lo or x == hi:
+        if r == 0 or r == w:
             return MemberByEndpoint(k - 1)
-        removal = Fraction(1, spec.m ** k)
-        length = hi - lo
-        if length > removal:
-            half = (length - removal) / 2
-            if x <= lo + half:
-                hi = lo + half
-            elif x >= hi - half:
-                lo = hi - half
-            else:
-                return ExcludedAtDepth(k)
-        else:
+        centre, r = m * w, 2 * m * r
+        w = centre - t
+        if w < r < centre + t:
             return ExcludedAtDepth(k)
-    if x == lo or x == hi:
+        if r > w:
+            r -= centre + t
+        t *= 2
+    if r == 0 or r == w:
         return MemberByEndpoint(depth_cap)
     return UndecidedMemberToDepth(depth_cap)
 

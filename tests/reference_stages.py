@@ -8,14 +8,25 @@ for the family).
 
 `_own_stages` builds any stage in `Fraction`s straight from the family
 definitions, without the package's deletion rule, so the package's
-integer-grid kernel can be tested against it.
+integer-grid kernel can be tested against it. `_power_membership` is the
+power family's limit-membership walk in `Fraction`s, the reference for the
+package's integer walk.
 """
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cantorkit import IntervalUnion, Power, Proportional, Subdivision
+from cantorkit import (
+    ExcludedAtDepth,
+    IntervalUnion,
+    MemberByEndpoint,
+    MembershipVerdict,
+    Power,
+    Proportional,
+    Subdivision,
+    UndecidedMemberToDepth,
+)
 
 
 def table(pairs) -> IntervalUnion:
@@ -119,6 +130,33 @@ def _own_stages(spec, depth):
             union = IntervalUnion.from_pairs(nxt)
         out.append((union, stalled))
     return out
+
+
+def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVerdict:
+    """Component descent; the power family is not scale invariant.
+
+    No removal is longer than its component (see `_child_rule`), so one
+    that is not shorter takes the whole interior at once.
+    """
+    lo, hi = Fraction(0), Fraction(1)
+    for k in range(1, depth_cap + 1):
+        if x == lo or x == hi:
+            return MemberByEndpoint(k - 1)
+        removal = Fraction(1, spec.m ** k)
+        length = hi - lo
+        if length > removal:
+            half = (length - removal) / 2
+            if x <= lo + half:
+                hi = lo + half
+            elif x >= hi - half:
+                lo = hi - half
+            else:
+                return ExcludedAtDepth(k)
+        else:
+            return ExcludedAtDepth(k)
+    if x == lo or x == hi:
+        return MemberByEndpoint(depth_cap)
+    return UndecidedMemberToDepth(depth_cap)
 
 
 @st.composite

@@ -145,8 +145,9 @@ def test_06_membership_oracles_agree():
         "c14": None,
         "ac": None,
         "svc:4": None,
+        "svc:5": None,
     }
-    caps = {"c14": 300, "svc:4": 25}
+    caps = {"c14": 300, "svc:4": 300, "svc:5": 300}
     comparisons = 0
     undecided = 0
     disagreements = []

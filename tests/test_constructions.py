@@ -29,7 +29,13 @@ from cantorkit import (
     union_measure,
     verdict_is_member,
 )
-from reference_stages import EXPECTED_STAGES, _own_stages, specs_with_depth, table
+from reference_stages import (
+    EXPECTED_STAGES,
+    _own_stages,
+    _power_membership,
+    specs_with_depth,
+    table,
+)
 
 
 class TestSpecValidation:
@@ -293,9 +299,25 @@ class TestLimitMembership:
             limit_membership(Power(4), Fraction(3, 2))
 
     def test_cap_reached_is_undecided(self):
+        # removed at step 2, before the cap of 3 is reached
         v = limit_membership(Proportional(Fraction(1, 4)), Fraction(1, 7), depth_cap=3)
-        assert isinstance(v, (UndecidedMemberToDepth, ExcludedAtDepth, MemberByCycle,
-                              MemberByEndpoint))
+        assert v == ExcludedAtDepth(depth=2)
+        # each point survives the rounds before `depth`, so a cap below it
+        # stops the walk undecided
+        for spec, x, depth in ((Proportional(Fraction(1, 4)), Fraction(1, 3), 5),
+                               (Power(4), Fraction(1, 5), 2)):
+            assert limit_membership(spec, x, depth - 1) == UndecidedMemberToDepth(depth - 1)
+            assert limit_membership(spec, x, depth) == ExcludedAtDepth(depth)
+        v = limit_membership(Power(5), Fraction(15, 41), depth_cap=300)
+        assert v == UndecidedMemberToDepth(depth=300)
+
+    def test_power_walk_stays_cheap(self):
+        # The walk compares integers on the grid q * (2m)**k; in Fractions
+        # each step reduced a growing pair and this took 6.6-8.4 s.
+        start = time.perf_counter()
+        v = limit_membership(Power(4), Fraction(1, 7), depth_cap=10_000)
+        assert v == UndecidedMemberToDepth(depth=10_000)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("preset", ["cantor", "c12", "c34", "ac", "ac-reflected",
                                         "ac5a"])
@@ -348,10 +370,13 @@ def test_stages_match_the_family_definitions(case):
 
 @st.composite
 def grid_specs_with_depth(draw):
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["proportional", "power", "subdivision"]))
+    if family == "proportional":
         den = draw(st.integers(2, 12))
         return Proportional(Fraction(draw(st.integers(1, den - 1)), den)), draw(
             st.integers(0, 5))
+    if family == "power":
+        return Power(draw(st.integers(2, 6))), draw(st.integers(0, 6))
     n = draw(st.integers(3, 7))
     removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     return Subdivision(n, frozenset(removed)), draw(st.integers(0, 3 if n > 5 else 5))
@@ -362,6 +387,7 @@ def grid_specs_with_depth(draw):
 @example((Subdivision(3, frozenset({0})), 5))
 @example((Subdivision(6, frozenset({0, 1, 5})), 3))
 @example((Proportional(Fraction(1, 4)), 5))
+@example((Power(2), 6))
 def test_limit_verdicts_match_the_family_definitions(case):
     # Every stage endpoint is a member, and the midpoint of a gap first
     # opened at round k is excluded at step k.
@@ -375,6 +401,51 @@ def test_limit_verdicts_match_the_family_definitions(case):
             mid = (a.hi + b.lo) / 2
             if earlier.covers(mid):
                 assert limit_membership(spec, mid) == ExcludedAtDepth(k), (spec, k, mid)
+
+
+def _power_stage_points(m, depth):
+    """Endpoints and gap midpoints of `Power(m)`'s stages 1..depth."""
+    points = set()
+    for union, _ in _own_stages(Power(m), depth)[1:]:
+        points |= set(union.endpoints())
+        points |= {(a.hi + b.lo) / 2 for a, b in zip(union, union.intervals[1:])}
+    return sorted(points)
+
+
+@st.composite
+def power_queries(draw):
+    q = draw(st.integers(1, 5000))
+    return (Power(draw(st.integers(2, 12))), Fraction(draw(st.integers(0, q)), q),
+            draw(st.integers(0, 300)))
+
+
+def with_power_edge_cases(test):
+    # the unit endpoints, and the m = 2 stall: 1/4 and 3/4 are left as
+    # points at round 2 and 1/8 goes with the removal that takes the rest
+    for m in (2, 7):
+        for x in (Fraction(0), Fraction(1)):
+            for cap in (0, 300):
+                test = example((Power(m), x, cap))(test)
+    for x in (Fraction(1, 4), Fraction(3, 4), Fraction(1, 8)):
+        for cap in (0, 1, 2, 300):
+            test = example((Power(2), x, cap))(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_queries())
+@with_power_edge_cases
+def test_power_walk_matches_the_fraction_reference(case):
+    spec, x, cap = case
+    assert limit_membership(spec, x, cap) == _power_membership(spec, x, cap), case
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_power_walk_matches_the_fraction_reference_at_stage_points(m):
+    for x in _power_stage_points(m, 5):
+        for cap in (0, 1, 3, 5, 6, 30):
+            assert limit_membership(Power(m), x, cap) == _power_membership(Power(m), x, cap), (
+                m, x, cap)
 
 
 def test_proportional_is_the_subdivision_that_removes_the_middle_parts():
