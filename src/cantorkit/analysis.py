@@ -12,11 +12,11 @@ query terminates.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 from .constructions import (
     MAX_ENUMERATED_INTERVALS,
@@ -28,35 +28,34 @@ from .constructions import (
     _child_rule,
     _grid_stages,
     _kept_grid,
+    _round,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError
+from .exact import _is_int
 
 
-def _length_census(spec: ConstructionSpec, n: int) -> tuple[Counter, bool]:
-    """(component lengths with multiplicities, stalled) after n rounds.
+def _length_census(spec: ConstructionSpec, n: int) -> Iterator[tuple[int, Counter, bool]]:
+    """Stages 0..n as `(den, integer component lengths with multiplicities, stalled)`.
 
     Every family's round is translation invariant, so the children of a
-    component depend only on its length: the rule is applied once per
-    distinct integer length L over the family grid, to [0, L], and the
-    stage itself is never built. Degenerate points ride along unchanged.
+    component depend only on its length: the round is applied once per
+    distinct integer length L over den, to [0, L], and the stage itself is
+    never built. A stalled stage repeats.
     """
     factor, rule = _child_rule(spec)
     census = Counter({1: 1})
     den, c, stalled = 1, 1, False
+    yield den, census, stalled
     for _ in range(n):
-        if stalled:
-            break
-        nxt: Counter = Counter()
-        for length, count in census.items():
-            if not length:
-                nxt[0] += count
-                continue
-            children, stop = rule(c, 0, length)
-            stalled = stalled or stop
-            for a, b in children:
-                nxt[b - a] += count
-        census, den, c = nxt, den * factor, 2 * c
-    return Counter({Fraction(length, den): count for length, count in census.items()}), stalled
+        if not stalled:
+            nxt: Counter = Counter()
+            for length, count in census.items():
+                children, stop = _round(factor, rule, c, [(0, length)], den)
+                stalled = stalled or stop
+                for a, b in children:
+                    nxt[b - a] += count
+            census, den, c = nxt, den * factor, 2 * c
+        yield den, census, stalled
 
 
 def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
@@ -64,7 +63,8 @@ def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
     if n < 0:
         raise ValidationError("stage index must be nonnegative")
     if isinstance(spec, Power):
-        return sum(length * count for length, count in _length_census(spec, n)[0].items())
+        den, census, _ = deque(_length_census(spec, n), maxlen=1)[0]
+        return Fraction(sum(length * count for length, count in census.items()), den)
     d, runs = _kept_grid(spec)
     return Fraction(sum(b - a for a, b in runs), d) ** n
 
@@ -100,7 +100,8 @@ def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     if n < 0:
         raise ValidationError("stage index must be nonnegative")
     if isinstance(spec, Power):
-        return max(_length_census(spec, n)[0])
+        den, census, _ = deque(_length_census(spec, n), maxlen=1)[0]
+        return Fraction(max(census), den)
     d, runs = _kept_grid(spec)
     return Fraction(max(b - a for a, b in runs), d) ** n
 
@@ -114,10 +115,10 @@ class ExpansionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allowed", frozenset(self.allowed))
-        if isinstance(self.base, bool) or not isinstance(self.base, int) or self.base < 2:
+        if not _is_int(self.base) or self.base < 2:
             raise ValidationError(f"expansion base must be an integer >= 2, got {self.base!r}")
         for d in self.allowed:
-            if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < self.base:
+            if not _is_int(d) or not 0 <= d < self.base:
                 raise ValidationError(f"digit {d!r} outside base-{self.base} range")
         if not self.allowed:
             raise ValidationError("at least one digit must be allowed")
@@ -136,12 +137,12 @@ class DigitExpansion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
-        if isinstance(self.base, bool) or not isinstance(self.base, int) or self.base < 2:
+        if not _is_int(self.base) or self.base < 2:
             raise ValidationError(f"expansion base must be an integer >= 2, got {self.base!r}")
         if not self.period:
             raise ValidationError("period must be nonempty")
         for d in self.preperiod + self.period:
-            if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < self.base:
+            if not _is_int(d) or not 0 <= d < self.base:
                 raise ValidationError(f"digit {d!r} outside base-{self.base} range")
 
     @classmethod
@@ -151,7 +152,7 @@ class DigitExpansion:
         Terminating values get a (0,) period; 1 itself is written with the
         all-(base-1) period since it has no terminating form.
         """
-        if isinstance(base, bool) or not isinstance(base, int) or base < 2:
+        if not _is_int(base) or base < 2:
             raise ValidationError(f"expansion base must be an integer >= 2, got {base!r}")
         x = Fraction(x)
         if not 0 <= x <= 1:
@@ -381,28 +382,24 @@ def _prefix_runs(prefixes: list[int]) -> list[tuple[int, int]]:
 
 def _separating_point(a: list[tuple[int, int]], b: list[tuple[int, int]],
                       den: int) -> Fraction:
-    """Smallest grid point in exactly one of two distinct unions over den.
+    """Smallest point in exactly one of two distinct unions over den.
 
-    Both are ordered, separated integer pairs. Membership in a closed union
-    is constant between consecutive endpoints, so checking every endpoint
-    and every midpoint of adjacent endpoints, on the doubled grid, is
-    exhaustive.
+    Both are ordered, separated integer pairs, and the unions agree up to
+    their first pair that differs. Where one runs out first, the other's
+    next start is the point; where the starts differ, the smaller one is;
+    where only the ends differ, the point lies halfway between the shorter
+    end and the next endpoint of either union.
     """
-    sides = [([2 * lo for lo, _ in pairs], [2 * hi for _, hi in pairs]) for pairs in (a, b)]
-
-    def covers(side, x: int) -> bool:
-        los, his = side
-        i = bisect_right(los, x)
-        return i > 0 and x <= his[i - 1]
-
-    pts = sorted({2 * e for pairs in (a, b) for pair in pairs for e in pair})
-    candidates = [pts[0]]
-    for prev, cur in zip(pts, pts[1:]):
-        candidates += [(prev + cur) // 2, cur]
-    for x in candidates:
-        if covers(sides[0], x) != covers(sides[1], x):
-            return Fraction(x, 2 * den)
-    raise AssertionError("unions differ but no separating point was found")
+    i = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+    if i == len(a) or i == len(b):
+        return Fraction(max(a, b, key=len)[i][0], den)
+    (lo_a, hi_a), (lo_b, hi_b) = a[i], b[i]
+    if lo_a != lo_b:
+        return Fraction(min(lo_a, lo_b), den)
+    if hi_a > hi_b:
+        a, hi_a, hi_b = b, hi_b, hi_a
+    nxt = min(hi_b, a[i + 1][0]) if i + 1 < len(a) else hi_b
+    return Fraction(hi_a + nxt, 2 * den)
 
 
 def characterization_equivalence_check(

@@ -26,9 +26,7 @@ from .analysis import (
     expansion_characterization,
     limit_is_degenerate,
     limit_measure,
-    max_component_length,
     similarity_dimension,
-    stage_measure,
 )
 from .constructions import (
     DEFAULT_DEPTH_CAP,
@@ -104,10 +102,12 @@ def _characterization_doc(verdict) -> dict:
 def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     """Measure, characterization, census, and dimension report."""
     _check_depth(spec, depth)
-    lengths, stalled = _length_census(spec, depth)
-    measures = [stage_measure(spec, k) for k in range(depth + 1)]
-    max_lengths = [max_component_length(spec, k) for k in range(depth + 1)]
-    census = sorted(lengths.items(), reverse=True)
+    measures, max_lengths = [], []
+    for den, lengths, stalled in _length_census(spec, depth):
+        measures.append(Fraction(sum(length * count for length, count in lengths.items()), den))
+        max_lengths.append(Fraction(max(lengths), den))
+    census = sorted(((Fraction(length, den), count) for length, count in lengths.items()),
+                    reverse=True)
     characterization = expansion_characterization(spec)
     dimension = None if isinstance(spec, Power) else similarity_dimension(spec)
     doc = {

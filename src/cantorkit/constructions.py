@@ -16,7 +16,8 @@ every current component [a, b] of the unit interval:
 Every endpoint of stage k is an integer over one denominator: s**k for a
 proportional spec with child ratio r/s, n**k for a subdivision and
 (2m)**k for a power spec. One integer deletion rule per family
-(`_child_rule`) builds the stages on that grid (`_grid_stages`); the
+(`_child_rule`), applied by one round (`_round`), builds the stages on
+that grid (`_grid_stages`), `next_stage` and the analysis census; the
 `Fraction`-valued `Stage`s are built only where an API returns them.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
@@ -38,7 +39,7 @@ from math import gcd, lcm
 from typing import Callable
 
 from .errors import DomainError, ResourceLimitError, ValidationError
-from .exact import ClosedInterval, IntervalUnion
+from .exact import ClosedInterval, IntervalUnion, _is_int
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
 DEFAULT_DEPTH_CAP = 10_000
@@ -70,7 +71,7 @@ class Power:
     m: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 2:
+        if not _is_int(self.m) or self.m < 2:
             raise ValidationError(f"power base must be an integer >= 2, got {self.m!r}")
 
 
@@ -88,10 +89,10 @@ class Subdivision:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "removed", frozenset(self.removed))
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 3:
+        if not _is_int(self.n) or self.n < 3:
             raise ValidationError(f"part count must be an integer >= 3, got {self.n!r}")
         for i in self.removed:
-            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.n:
+            if not _is_int(i) or not 0 <= i < self.n:
                 raise ValidationError(
                     f"removed index {i!r} outside the part range 0..{self.n - 1}")
         if not self.removed:
@@ -209,15 +210,33 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     return d, rule
 
 
-def _check_children(pairs: list[tuple[int, int]], den: int) -> None:
-    """Refuse a round whose children over den are out of order, overlap or touch."""
-    prev = -1
+def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
+           den: int) -> tuple[list[tuple[int, int]], bool]:
+    """One deletion round: the children over den * factor of the pairs over den.
+
+    The only place the rule meets a list of components. Degenerate points
+    ride along, the round stalls when the rule says so for any component,
+    and it is refused when its children are out of order, overlap or touch.
+    """
+    children: list[tuple[int, int]] = []
+    stalled = False
     for a, b in pairs:
+        if a == b:
+            children.append((factor * a, factor * a))
+            continue
+        kids, stop = rule(c, a, b)
+        children += kids
+        stalled = stalled or stop
+    # Start below the first child: a stage given to `next_stage` may reach below 0.
+    prev = children[0][0] - 1 if children else 0
+    for a, b in children:
         if not prev < a <= b:
             raise ValidationError(
-                f"deletion round left [{Fraction(a, den)}, {Fraction(b, den)}] out of "
-                "order, overlapping or touching the interval before it")
+                f"deletion round left [{Fraction(a, den * factor)}, "
+                f"{Fraction(b, den * factor)}] out of order, overlapping or touching "
+                "the interval before it")
         prev = b
+    return children, stalled
 
 
 def _grid_stages(spec: ConstructionSpec, depth: int,
@@ -236,53 +255,31 @@ def _grid_stages(spec: ConstructionSpec, depth: int,
         if stalled:
             stages.append(stages[-1])
             continue
-        children: list[tuple[int, int]] = []
-        for a, b in pairs:
-            if a == b:
-                children.append((factor * a, factor * a))
-                continue
-            kids, stop = rule(c, a, b)
-            children += kids
-            stalled = stalled or stop
-        _check_children(children, den * factor)
-        stages.append((den * factor, children, stalled))
+        stages.append((den * factor, *_round(factor, rule, c, pairs, den)))
         c *= 2
     return stages
+
+
+def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool) -> Stage:
+    """The `Stage` whose components are the integer pairs over den."""
+    intervals = tuple(ClosedInterval(Fraction(a, den), Fraction(b, den)) for a, b in pairs)
+    return Stage(index, IntervalUnion(intervals), stalled)
 
 
 def next_stage(spec: ConstructionSpec, s: Stage) -> Stage:
     """Apply one deletion round to every non-degenerate component.
 
-    Degenerate points ride along unchanged. The round stalls the process
-    when the family's rule says so for any component. The endpoints are
-    lifted to one denominator; for a power round k it is a multiple of
-    m**(k-1), so the removal lies on the next grid.
+    The endpoints are lifted to one denominator; for a power round k it is
+    a multiple of m**(k-1), so the removal lies on the next grid.
     """
     if s.stalled:
         return s
     factor, rule = _child_rule(spec)
-    index = s.index + 1
-    den = 1
-    for iv in s.intervals:
-        den = lcm(den, iv.lo.denominator, iv.hi.denominator)
-    c = 1
-    if isinstance(spec, Power):
-        scale = spec.m ** (index - 1)
-        den = lcm(den, scale)
-        c = den // scale
-    children: list[ClosedInterval] = []
-    stalled = False
-    for iv in s.intervals:
-        if iv.is_point:
-            children.append(iv)
-            continue
-        pairs, stop = rule(c, iv.lo.numerator * (den // iv.lo.denominator),
-                           iv.hi.numerator * (den // iv.hi.denominator))
-        children.extend(ClosedInterval(Fraction(a, den * factor), Fraction(b, den * factor))
-                        for a, b in pairs)
-        stalled = stalled or stop
-    # IntervalUnion's own check refuses a rule that breaks order or separation.
-    return Stage(index, IntervalUnion(tuple(children)), stalled)
+    scale = spec.m ** s.index if isinstance(spec, Power) else 1
+    den = lcm(scale, *(e.denominator for iv in s.intervals for e in (iv.lo, iv.hi)))
+    pairs = [(iv.lo.numerator * (den // iv.lo.denominator),
+              iv.hi.numerator * (den // iv.hi.denominator)) for iv in s.intervals]
+    return _stage(s.index + 1, den * factor, *_round(factor, rule, den // scale, pairs, den))
 
 
 def _check_depth(spec: ConstructionSpec, depth: int,
@@ -306,12 +303,8 @@ def iterate(spec: ConstructionSpec, depth: int,
     """Stages 0..depth; a stalled stage repeats. Refused upfront by `_check_depth`."""
     stages: list[Stage] = []
     for den, pairs, stalled in _grid_stages(spec, depth, max_intervals):
-        if stages and stages[-1].stalled:
-            stages.append(stages[-1])
-            continue
-        intervals = tuple(ClosedInterval(Fraction(a, den), Fraction(b, den))
-                          for a, b in pairs)
-        stages.append(Stage(len(stages), IntervalUnion(intervals), stalled))
+        stages.append(stages[-1] if stages and stages[-1].stalled
+                      else _stage(len(stages), den, pairs, stalled))
     return stages
 
 

@@ -17,6 +17,11 @@ from .errors import ValidationError
 Rational = Fraction
 
 
+def _is_int(value: object) -> bool:
+    """Whether value is an int; a bool is not one, though Python says it is."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rat(numer: int, denom: int = 1) -> Fraction:
     """Normalized rational numer/denom; the sign lands on the numerator."""
     if denom == 0:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .constructions import ConstructionSpec, Power, Proportional, Subdivision
 from .errors import ParseError
+from .exact import _is_int
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -77,7 +78,7 @@ _DOCUMENT_FIELDS = {
 
 def _require_int(doc: dict, field: str) -> int:
     value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ParseError(f"field {field!r} must be an integer, got {value!r}")
     return value
 
@@ -116,7 +117,7 @@ def _parse_document(body: str) -> ConstructionSpec:
     if not isinstance(removed, list):
         raise ParseError(f"field 'removed' must be a list of integers, got {removed!r}")
     for i in removed:
-        if isinstance(i, bool) or not isinstance(i, int):
+        if not _is_int(i):
             raise ParseError(f"removed index {i!r} is not an integer")
     return Subdivision(_require_int(doc, "n"), frozenset(removed))
 

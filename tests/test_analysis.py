@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,9 @@ from cantorkit import (
     contraction_ratios,
     expansion_characterization,
     expansion_membership,
+    fraction_str,
     iterate,
+    kept_runs,
     limit_is_degenerate,
     limit_measure,
     limit_membership,
@@ -37,6 +40,7 @@ from cantorkit import (
     union_measure,
 )
 from cantorkit.analysis import _length_census
+from cantorkit.cli import cmd_analyze
 
 
 class TestStageMeasure:
@@ -379,13 +383,46 @@ def _census_cases():
 @pytest.mark.parametrize("spec", _census_cases(), ids=repr)
 def test_length_census_matches_the_enumerated_stage(spec):
     branch = len(iterate(spec, 1)[1].intervals)
-    for n in range(9):
-        if branch ** n > 5000:
-            break
-        stage = iterate(spec, n)[n]
-        counts, stalled = _length_census(spec, n)
-        assert sorted(counts.items(), reverse=True) == scale_census(stage), (spec, n)
+    depth = max(n for n in range(9) if branch ** n <= 5000)
+    stages = iterate(spec, depth)
+    census = list(_length_census(spec, depth))
+    assert len(census) == depth + 1
+    for n, (stage, (den, counts, stalled)) in enumerate(zip(stages, census)):
+        lengths = sorted(((Fraction(length, den), count) for length, count in counts.items()),
+                         reverse=True)
+        assert lengths == scale_census(stage), (spec, n)
         assert stalled == stage.stalled, (spec, n)
+
+
+def _analyze_cases():
+    # Seeded subdivisions whose kept runs have more than one width and
+    # whose stages hold at most 3**8 components, so every stage up to 8
+    # can be enumerated.
+    rng = random.Random(8128)
+    subdivisions = []
+    while len(subdivisions) < 12:
+        n = rng.randint(4, 9)
+        spec = Subdivision(n, frozenset(rng.sample(range(n), rng.randint(1, n - 1))))
+        widths = {run.width for run in kept_runs(spec)}
+        fresh = spec not in subdivisions and spec not in PRESETS.values()
+        if fresh and len(widths) > 1 and len(iterate(spec, 1)[1].intervals) <= 3:
+            subdivisions.append(spec)
+    return ([parse_spec(name) for name in sorted(PRESETS)]
+            + [Power(m) for m in range(2, 8)] + subdivisions)
+
+
+@pytest.mark.parametrize("spec", _analyze_cases(), ids=repr)
+def test_one_pass_analyze_matches_the_per_stage_functions(spec):
+    stages = iterate(spec, 8)
+    for n in range(9):
+        doc = json.loads(cmd_analyze(spec, n, "json"))
+        assert doc["stage_measures"] == [
+            fraction_str(stage_measure(spec, k)) for k in range(n + 1)], (spec, n)
+        assert doc["max_component_lengths"] == [
+            fraction_str(max_component_length(spec, k)) for k in range(n + 1)], (spec, n)
+        assert doc["scale_census"] == [
+            {"length": fraction_str(length), "count": count}
+            for length, count in scale_census(stages[n])], (spec, n)
 
 
 class TestSimilarityDimension:

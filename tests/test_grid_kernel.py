@@ -37,8 +37,8 @@ from cantorkit import (
     render_svg,
     union_normalize,
 )
-from cantorkit import constructions
-from cantorkit.cli import cmd_construct
+from cantorkit import analysis, constructions
+from cantorkit.cli import cmd_analyze, cmd_construct
 from cantorkit.spec_io import PRESETS
 from reference_stages import _own_round, _own_stages, specs_with_depth
 
@@ -239,9 +239,12 @@ def test_stage_paths_build_no_intervals(monkeypatch):
     lambda a, b: [(3 * a + (b - a), 3 * a)],
 ], ids=["overlap", "touch", "reversed"])
 def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
-    monkeypatch.setattr(constructions, "_child_rule",
-                        lambda spec: (3, lambda c, a, b: (children(a, b), False)))
+    # The analysis census holds its own reference to the rule.
+    for module in (constructions, analysis):
+        monkeypatch.setattr(module, "_child_rule",
+                            lambda spec: (3, lambda c, a, b: (children(a, b), False)))
     for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
-                  lambda s: render_svg(s, RenderConfig(depth=2))):
+                  lambda s: render_svg(s, RenderConfig(depth=2)),
+                  lambda s: next_stage(s, initial_stage()), lambda s: cmd_analyze(s, 2)):
         with pytest.raises(ValidationError, match="out of order, overlapping or touching the interval before it"):
             build(parse_spec("cantor"))
