@@ -2,17 +2,19 @@
 
 Stage and limit measures come from closed recurrences, never from stage
 enumeration, so they stay cheap at depths where the stages themselves
-would be astronomically large. Digit work runs on a finite automaton over
+would be astronomically large. Digit work is one depth-first search over
 states p/q with q fixed at the query's denominator: state p steps to
 base * p - d * q for an allowed digit d whenever the result stays inside
 [0, q]. A base-b expansion avoiding the forbidden digits exists exactly
-when an infinite run exists, i.e. when a cycle is reachable, so every
-query terminates.
+when an infinite run exists, i.e. when a cycle is reachable. Trying the
+smallest digit first, the first step back onto the current path closes
+the greedy run; a state dies once all its successors have, so each of the
+at most q + 1 states is entered once and every query terminates.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,6 +30,7 @@ from .constructions import (
     _child_rule,
     _grid_stages,
     _kept_grid,
+    _power_over,
     _round,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError
@@ -185,57 +188,44 @@ class DigitExpansion:
         return Fraction(pre_int, scale) + Fraction(per_int, scale * (b ** len(self.period) - 1))
 
 
-def _transition_graph(es: ExpansionSpec, x: Fraction) -> tuple[dict, int]:
-    """Digit automaton reachable from x, over integer states p (meaning p/q)."""
-    q = x.denominator
-    digits = sorted(es.allowed)
-    start = x.numerator
-    succ: dict[int, list[tuple[int, int]]] = {}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        if p in succ:
-            continue
-        outs = []
-        for d in digits:
-            nxt = es.base * p - d * q
-            if 0 <= nxt <= q:
-                outs.append((d, nxt))
-        succ[p] = outs
-        for _, t in outs:
-            if t not in succ:
-                stack.append(t)
-    return succ, start
+def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]] | int:
+    """Greedy depth-first search of the digit automaton from x.
 
-
-def _predecessors(succ: dict) -> dict[int, list[int]]:
-    """Reverse edges of the digit automaton."""
-    preds: dict[int, list[int]] = defaultdict(list)
-    for s, ts in succ.items():
-        for _, t in ts:
-            preds[t].append(s)
-    return preds
-
-
-def _dead_ends(succ: dict) -> dict[int, int]:
-    """States with no infinite run, each with its longest allowed run.
-
-    Dead ends are peeled iteratively; a state is peeled only after every
-    one of its successors, so its longest run is known from theirs.
+    Returns the (preperiod, period) of the run that always takes the
+    smallest digit leading to an infinite run or, when x has no infinite
+    run, the length of its longest allowed run.
     """
-    outdeg = {s: len(ts) for s, ts in succ.items()}
-    preds = _predecessors(succ)
-    stack = [s for s, c in outdeg.items() if c == 0]
+    q, base, allowed = x.denominator, es.base, es.allowed
+
+    def steps(p: int) -> list[tuple[int, int]]:
+        # base * p - d * q lies in [0, q] only for the quotient d, and for
+        # d - 1 too when the remainder is 0; smaller digit first.
+        d, t = divmod(base * p, q)
+        outs = [(d - 1, q), (d, 0)] if t == 0 else [(d, t)]
+        return [(d, t) for d, t in outs if d in allowed]
+
+    start = x.numerator
+    path, digits, todo = [start], [], [iter(steps(start))]
+    position = {start: 0}
     dead: dict[int, int] = {}
-    while stack:
-        s = stack.pop()
-        dead[s] = 1 + max((dead[t] for _, t in succ[s]), default=-1)
-        for pr in preds[s]:
-            if pr not in dead:
-                outdeg[pr] -= 1
-                if outdeg[pr] == 0:
-                    stack.append(pr)
-    return dead
+    while path:
+        for d, t in todo[-1]:
+            if t in position:
+                cut = position[t]
+                return digits[:cut], digits[cut:] + [d]
+            if t not in dead:
+                position[t] = len(path)
+                path.append(t)
+                digits.append(d)
+                todo.append(iter(steps(t)))
+                break
+        else:
+            p = path.pop()
+            del position[p]
+            todo.pop()
+            del digits[-1:]
+            dead[p] = 1 + max((dead[t] for _, t in steps(p)), default=-1)
+    return dead[start]
 
 
 def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
@@ -247,27 +237,7 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
-    succ, start = _transition_graph(es, x)
-    return start not in _dead_ends(succ)
-
-
-def _greedy_digits(succ: dict, dead: dict[int, int], start: int) -> tuple[list[int], list[int]]:
-    """(preperiod, period) of the run from a live `start`.
-
-    Each step takes the smallest digit that leads to an alive state.
-    """
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    s = start
-    while s not in seen:
-        seen[s] = len(digits)
-        for d, t in succ[s]:
-            if t not in dead:
-                digits.append(d)
-                s = t
-                break
-    cut = seen[s]
-    return digits[:cut], digits[cut:]
+    return isinstance(_digit_search(es, x), tuple)
 
 
 def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
@@ -278,11 +248,8 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
-    succ, start = _transition_graph(es, x)
-    dead = _dead_ends(succ)
-    if start in dead:
-        return None
-    return DigitExpansion(es.base, *_greedy_digits(succ, dead, start))
+    run = _digit_search(es, x)
+    return DigitExpansion(es.base, *run) if isinstance(run, tuple) else None
 
 
 CANTOR_TERNARY = ExpansionSpec(3, frozenset({0, 2}))
@@ -303,13 +270,12 @@ def cantor_function(x: Fraction) -> Fraction:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise DomainError(f"the function is defined on [0, 1], got {x}")
-    succ, start = _transition_graph(CANTOR_TERNARY, x)
-    dead = _dead_ends(succ)
-    if start in dead:
+    run = _digit_search(CANTOR_TERNARY, x)
+    if not isinstance(run, tuple):
         raise DomainError(
             f"{x} has no ternary expansion avoiding digit 1; "
-            f"forced at position {dead[start] + 1}")
-    preperiod, period = _greedy_digits(succ, dead, start)
+            f"forced at position {run + 1}")
+    preperiod, period = run
     halved = DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period])
     return halved.value
 
@@ -416,7 +382,7 @@ def characterization_equivalence_check(
     """
     if depth < 1:
         raise ValidationError("comparison depth must be at least 1")
-    if len(es.allowed) ** depth > max_intervals:
+    if _power_over(len(es.allowed), depth, max_intervals):
         raise ResourceLimitError(
             f"digit enumeration would build up to {len(es.allowed)}**{depth} intervals, "
             f"over the limit of {max_intervals}")

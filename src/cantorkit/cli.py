@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .analysis import (
     Characterized,
-    MismatchWitness,
     NotCharacterizable,
     _length_census,
     cantor_function,
@@ -36,7 +35,6 @@ from .constructions import (
     MemberByEndpoint,
     MembershipVerdict,
     Power,
-    UndecidedMemberToDepth,
     _check_depth,
     _grid_stages,
     limit_membership,

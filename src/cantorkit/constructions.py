@@ -282,6 +282,15 @@ def next_stage(spec: ConstructionSpec, s: Stage) -> Stage:
     return _stage(s.index + 1, den * factor, *_round(factor, rule, den // scale, pairs, den))
 
 
+def _power_over(branch: int, depth: int, limit: int) -> bool:
+    """Whether branch**depth > limit, without taking the power of a huge depth.
+
+    For branch >= 2 the power exceeds the limit once depth passes the
+    limit's bit length, so that depth is refused before any power is taken.
+    """
+    return branch > 1 and depth > limit.bit_length() or branch ** depth > limit
+
+
 def _check_depth(spec: ConstructionSpec, depth: int,
                  max_intervals: int = MAX_ENUMERATED_INTERVALS) -> None:
     """Refuse a negative depth, or one whose stage could exceed `max_intervals`.
@@ -292,7 +301,7 @@ def _check_depth(spec: ConstructionSpec, depth: int,
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     branch = len(_child_rule(spec)[1](1, 0, 1)[0])
-    if branch ** depth > max_intervals:
+    if _power_over(branch, depth, max_intervals):
         raise ResourceLimitError(
             f"stage {depth} could hold up to {branch}**{depth} intervals, "
             f"over the limit of {max_intervals}")

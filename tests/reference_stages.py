@@ -11,14 +11,24 @@ definitions, without the package's deletion rule, so the package's
 integer-grid kernel can be tested against it. `_power_membership` is the
 power family's limit-membership walk in `Fraction`s, the reference for the
 package's integer walk.
+
+`_transition_graph`, `_predecessors`, `_dead_ends` and `_greedy_digits`
+are the digit automaton as four passes: build every reachable state, peel
+the states with no infinite run, then walk greedily on the smallest digit
+that stays alive. `reference_digits` answers the three digit questions
+with them, the reference for the package's one depth-first search.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from cantorkit import (
+    DigitExpansion,
+    DomainError,
     ExcludedAtDepth,
+    ExpansionSpec,
     IntervalUnion,
     MemberByEndpoint,
     MembershipVerdict,
@@ -157,6 +167,98 @@ def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVer
     if x == lo or x == hi:
         return MemberByEndpoint(depth_cap)
     return UndecidedMemberToDepth(depth_cap)
+
+
+def _transition_graph(es: ExpansionSpec, x: Fraction) -> tuple[dict, int]:
+    """Digit automaton reachable from x, over integer states p (meaning p/q)."""
+    q = x.denominator
+    digits = sorted(es.allowed)
+    start = x.numerator
+    succ: dict[int, list[tuple[int, int]]] = {}
+    stack = [start]
+    while stack:
+        p = stack.pop()
+        if p in succ:
+            continue
+        outs = []
+        for d in digits:
+            nxt = es.base * p - d * q
+            if 0 <= nxt <= q:
+                outs.append((d, nxt))
+        succ[p] = outs
+        for _, t in outs:
+            if t not in succ:
+                stack.append(t)
+    return succ, start
+
+
+def _predecessors(succ: dict) -> dict[int, list[int]]:
+    """Reverse edges of the digit automaton."""
+    preds: dict[int, list[int]] = defaultdict(list)
+    for s, ts in succ.items():
+        for _, t in ts:
+            preds[t].append(s)
+    return preds
+
+
+def _dead_ends(succ: dict) -> dict[int, int]:
+    """States with no infinite run, each with its longest allowed run.
+
+    Dead ends are peeled iteratively; a state is peeled only after every
+    one of its successors, so its longest run is known from theirs.
+    """
+    outdeg = {s: len(ts) for s, ts in succ.items()}
+    preds = _predecessors(succ)
+    stack = [s for s, c in outdeg.items() if c == 0]
+    dead: dict[int, int] = {}
+    while stack:
+        s = stack.pop()
+        dead[s] = 1 + max((dead[t] for _, t in succ[s]), default=-1)
+        for pr in preds[s]:
+            if pr not in dead:
+                outdeg[pr] -= 1
+                if outdeg[pr] == 0:
+                    stack.append(pr)
+    return dead
+
+
+def _greedy_digits(succ: dict, dead: dict[int, int], start: int) -> tuple[list[int], list[int]]:
+    """(preperiod, period) of the run from a live `start`.
+
+    Each step takes the smallest digit that leads to an alive state.
+    """
+    digits: list[int] = []
+    seen: dict[int, int] = {}
+    s = start
+    while s not in seen:
+        seen[s] = len(digits)
+        for d, t in succ[s]:
+            if t not in dead:
+                digits.append(d)
+                s = t
+                break
+    cut = seen[s]
+    return digits[:cut], digits[cut:]
+
+
+def reference_digits(es: ExpansionSpec, x: Fraction):
+    """`(membership, (preperiod, period) or None, longest run or None)` for x."""
+    succ, start = _transition_graph(es, x)
+    dead = _dead_ends(succ)
+    if start in dead:
+        return False, None, dead[start]
+    return True, _greedy_digits(succ, dead, start), None
+
+
+def reference_cantor_function(x: Fraction) -> Fraction:
+    """Digit-halving value of x over the four-pass automaton, or its DomainError."""
+    member, run, longest = reference_digits(ExpansionSpec(3, frozenset({0, 2})), x)
+    if not member:
+        raise DomainError(
+            f"{x} has no ternary expansion avoiding digit 1; "
+            f"forced at position {longest + 1}")
+    preperiod, period = run
+    return DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period]).value
 
 
 @st.composite

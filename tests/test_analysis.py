@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
@@ -18,7 +18,6 @@ from cantorkit import (
     NotCharacterizable,
     PRESETS,
     Power,
-    Proportional,
     Subdivision,
     allowed_expansion,
     cantor_function,
@@ -39,8 +38,9 @@ from cantorkit import (
     stage_measure,
     union_measure,
 )
-from cantorkit.analysis import _length_census
+from cantorkit.analysis import _digit_search, _length_census
 from cantorkit.cli import cmd_analyze
+from reference_stages import reference_cantor_function, reference_digits
 
 
 class TestStageMeasure:
@@ -252,6 +252,48 @@ class TestCantorFunction:
                 endpoints.update((iv.lo, iv.hi))
             image = {cantor_function(x) for x in endpoints}
             assert image == {Fraction(k, 2 ** n) for k in range(2 ** n + 1)}
+
+
+@st.composite
+def digit_queries(draw):
+    """A digit filter and a point: any denominator up to 5000, or one of the
+    form base**k * c with small c, where the branch points lie."""
+    base = draw(st.integers(2, 12))
+    allowed = draw(st.sets(st.integers(0, base - 1), min_size=1, max_size=base - 1))
+    if draw(st.booleans()):
+        x = draw(st.fractions(min_value=0, max_value=1, max_denominator=5000))
+    else:
+        q = draw(st.integers(1, 6)) * base ** draw(st.integers(0, 6))
+        x = Fraction(draw(st.integers(0, q)), q)
+    return ExpansionSpec(base, frozenset(allowed)), x
+
+
+def _value_or_error(f, x):
+    try:
+        return f(x)
+    except DomainError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(digit_queries())
+@example((CANTOR_TERNARY, Fraction(0)))
+@example((CANTOR_TERNARY, Fraction(1)))
+@example((CANTOR_TERNARY, Fraction(1, 3)))
+@example((CANTOR_TERNARY, Fraction(1, 4)))
+@example((CANTOR_TERNARY, Fraction(1, 2)))
+@example((CANTOR_TERNARY, Fraction(1, 6)))
+@example((CANTOR_TERNARY, Fraction(5, 12)))
+# 1/2 is dead, and so are both its successors 1 and 0: its longest run is 1.
+@example((ExpansionSpec(4, frozenset({1, 2})), Fraction(1, 2)))
+def test_digit_search_matches_the_four_pass_automaton(query):
+    es, x = query
+    member, run, longest = reference_digits(es, x)
+    assert expansion_membership(es, x) == member
+    e = allowed_expansion(es, x)
+    assert (None if e is None else (list(e.preperiod), list(e.period))) == run
+    assert _digit_search(es, x) == (run if member else longest)
+    assert _value_or_error(cantor_function, x) == _value_or_error(reference_cantor_function, x)
 
 
 class TestCharacterization:

@@ -1,16 +1,21 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from cantorkit import (
+    CANTOR_TERNARY,
+    ExpansionSpec,
     ParseError,
     Power,
     Proportional,
     RenderConfig,
+    ResourceLimitError,
     Subdivision,
     ValidationError,
+    characterization_equivalence_check,
     emit_spec,
     fraction_str,
     iterate,
@@ -300,6 +305,34 @@ class TestMainExitCodes:
                        "intervals, over the limit of 1073741824"}
         assert main(["analyze", "--spec", "cantor", "--depth", "-1"]) == 2
         assert json.loads(capsys.readouterr().err)["message"] == "depth must be nonnegative"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "--spec", '{"type":"subdivision","n":5,"removed":[1,3]}',
+          "--depth", "100000000"], "stage 100000000 could hold up to 3**100000000 intervals"),
+        (["render", "--spec", '{"type":"subdivision","n":5,"removed":[1,3]}',
+          "--depth", "100000000"], "stage 100000000 could hold up to 3**100000000 intervals"),
+        (["analyze", "--spec", "c14", "--depth", "1000000000"],
+         "stage 1000000000 could hold up to 2**1000000000 intervals"),
+        (["render", "--spec", "c14", "--depth", "1000000000"],
+         "stage 1000000000 could hold up to 2**1000000000 intervals"),
+    ])
+    def test_a_huge_depth_is_refused_at_once(self, argv, message, capsys):
+        started = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - started < 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "resource", "message": f"{message}, over the limit of 1073741824"}
+
+    @pytest.mark.parametrize("es, message", [
+        (CANTOR_TERNARY, "digit enumeration would build up to 2**1000000000 intervals"),
+        (ExpansionSpec(3, frozenset({0})), "stage 1000000000 could hold up to 2**1000000000 intervals"),
+    ])
+    def test_a_huge_characterization_depth_is_refused_at_once(self, es, message):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as exc:
+            characterization_equivalence_check(parse_spec("cantor"), es, 10 ** 9)
+        assert time.perf_counter() - started < 2
+        assert str(exc.value) == f"{message}, over the limit of 1073741824"
 
     def test_error_output_is_a_single_json_line(self, capsys):
         main(["construct", "--spec", "???"])

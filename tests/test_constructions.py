@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
-    ClosedInterval,
     ExcludedAtDepth,
     IntervalUnion,
     MemberByCycle,

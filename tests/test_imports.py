@@ -1,0 +1,41 @@
+"""Import hygiene: every name a module imports is referenced in that module.
+
+Stdlib `ast` only, so it runs wherever the tests run. `__init__.py` is
+skipped because its imports are the package's re-exports, and
+`from __future__` imports bind no name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for p in [*ROOT.glob("src/cantorkit/*.py"), *ROOT.glob("tests/*.py")]
+    if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in `source` that nothing else in it reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in set(imported) if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_sees_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport json as j\nfrom math import gcd, lcm\n"
+              "print(os.sep, lcm)\n")
+    assert unused_imports(source) == ["gcd", "j"]
