@@ -33,7 +33,7 @@ from .constructions import (
     _power_over,
     _round,
 )
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError, _cut
 from .exact import _is_int
 
 
@@ -159,7 +159,7 @@ class DigitExpansion:
             raise ValidationError(f"expansion base must be an integer >= 2, got {base!r}")
         x = Fraction(x)
         if not 0 <= x <= 1:
-            raise DomainError(f"expansions are defined on [0, 1], got {x}")
+            raise DomainError(f"expansions are defined on [0, 1], got {_cut(str(x))}")
         if x == 1:
             return cls(base, (), (base - 1,))
         digits: list[int] = []
@@ -236,7 +236,7 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
     return isinstance(_digit_search(es, x), tuple)
 
 
@@ -247,7 +247,7 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
     run = _digit_search(es, x)
     return DigitExpansion(es.base, *run) if isinstance(run, tuple) else None
 
@@ -269,11 +269,11 @@ def cantor_function(x: Fraction) -> Fraction:
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise DomainError(f"the function is defined on [0, 1], got {x}")
+        raise DomainError(f"the function is defined on [0, 1], got {_cut(str(x))}")
     run = _digit_search(CANTOR_TERNARY, x)
     if not isinstance(run, tuple):
         raise DomainError(
-            f"{x} has no ternary expansion avoiding digit 1; "
+            f"{_cut(str(x))} has no ternary expansion avoiding digit 1; "
             f"forced at position {run + 1}")
     preperiod, period = run
     halved = DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period])

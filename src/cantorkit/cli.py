@@ -13,6 +13,7 @@ import re
 import sys
 from ast import literal_eval
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from pathlib import Path
 from typing import Sequence
@@ -47,9 +48,19 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     ValidationError,
+    _cut,
+    _echo,
+    _fits,
 )
 from .render import RenderConfig, render_svg
-from .spec_io import _echo, emit_spec, fraction_str, parse_fraction, parse_spec
+from .spec_io import (
+    _spec_doc,
+    _too_long_to_write,
+    emit_spec,
+    fraction_str,
+    parse_fraction,
+    parse_spec,
+)
 
 _ERROR_CODES = (
     (ParseError, "parse", 2),
@@ -66,7 +77,10 @@ def cmd_construct(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     """
     def frac(a: int, den: int) -> str:
         g = gcd(a, den)
-        return f"{a // g}/{den // g}"
+        try:
+            return f"{a // g}/{den // g}"
+        except ValueError:
+            raise _too_long_to_write(a // g, den // g) from None
 
     stages = _grid_stages(spec, depth)
     if fmt == "json":
@@ -109,7 +123,7 @@ def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     characterization = expansion_characterization(spec)
     dimension = None if isinstance(spec, Power) else similarity_dimension(spec)
     doc = {
-        "spec": json.loads(emit_spec(spec)),
+        "spec": _spec_doc(spec),
         "depth": depth,
         "stage_measures": [fraction_str(v) for v in measures],
         "max_component_lengths": [fraction_str(v) for v in max_lengths],
@@ -176,7 +190,7 @@ def cmd_member(spec: ConstructionSpec, x: Fraction, depth_cap: int = DEFAULT_DEP
     stage_ok = stage_membership(spec, x, check_depth)
     if fmt == "json":
         return json.dumps({
-            "spec": json.loads(emit_spec(spec)),
+            "spec": _spec_doc(spec),
             "x": fraction_str(x),
             "verdict": _verdict_doc(verdict),
             "member": verdict_is_member(verdict),
@@ -210,8 +224,8 @@ def _load_spec(raw: str) -> ConstructionSpec:
     if is_file:
         try:
             raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read spec document {raw!r}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read spec document {_echo(raw)}: {_cut(str(exc))}") from exc
     return parse_spec(raw)
 
 
@@ -220,23 +234,35 @@ def _load_spec(raw: str) -> ConstructionSpec:
 _ESCAPE = r"""\\(?:[\\'"tnr]|x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8})"""
 _REPR = re.compile(r"'(?:[^'\\]|%s)*'|" % _ESCAPE + r'"(?:[^"\\]|%s)*"' % _ESCAPE)
 
-
 _UNRECOGNIZED = "unrecognized arguments: "
+_AMBIGUOUS = "ambiguous option: "
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors raise ParseError, so they end in the JSON error line."""
 
     def error(self, message: str):
-        head, sep, extras = message.partition(_UNRECOGNIZED)
-        if sep and len(extras) > 100:
-            # argparse joins the extra arguments unquoted.
-            raise ParseError(head + sep + _echo(extras))
-        raise ParseError(_REPR.sub(
-            lambda m: m[0] if len(m[0]) <= 102 else _echo(literal_eval(m[0])), message))
+        # argparse writes the offending text in these two messages unquoted.
+        if message.startswith(_UNRECOGNIZED):
+            head, text, tail = _UNRECOGNIZED, message[len(_UNRECOGNIZED):], ""
+        elif message.startswith(_AMBIGUOUS):
+            text, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
+            head, tail = _AMBIGUOUS, sep + matches
+        else:
+            raise ParseError(_REPR.sub(
+                lambda m: m[0] if len(m[0]) <= 102 and _fits(m[0])
+                else _echo(literal_eval(m[0])), message))
+        shown = _echo(text)
+        raise ParseError(message if shown == repr(text) else head + shown + tail)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Sharing is safe: `parse_args` returns a fresh Namespace each time, `prog`
+    is fixed rather than read from sys.argv, and help is formatted per call.
+    """
     parser = _ArgumentParser(
         prog="cantorkit",
         description="Exact-arithmetic toolkit for Cantor-like deletion constructions.")
@@ -304,8 +330,9 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot write output file {out!r}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            # ValueError: a NUL or an unencodable character in the path.
+            raise ParseError(f"cannot write output file {_echo(out)}: {_cut(str(exc))}") from exc
     else:
         sys.stdout.write(text)
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable
 
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import ClosedInterval, IntervalUnion, _is_int
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
@@ -56,7 +56,8 @@ class Proportional:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", Fraction(self.p))
         if not 0 < self.p < 1:
-            raise ValidationError(f"removal proportion must lie in (0, 1), got {self.p}")
+            raise ValidationError(
+                f"removal proportion must lie in (0, 1), got {_cut(str(self.p))}")
 
     @property
     def child_ratio(self) -> Fraction:
@@ -72,7 +73,7 @@ class Power:
 
     def __post_init__(self) -> None:
         if not _is_int(self.m) or self.m < 2:
-            raise ValidationError(f"power base must be an integer >= 2, got {self.m!r}")
+            raise ValidationError(f"power base must be an integer >= 2, got {_echo(self.m)}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,11 @@ class Subdivision:
     def __post_init__(self) -> None:
         object.__setattr__(self, "removed", frozenset(self.removed))
         if not _is_int(self.n) or self.n < 3:
-            raise ValidationError(f"part count must be an integer >= 3, got {self.n!r}")
+            raise ValidationError(f"part count must be an integer >= 3, got {_echo(self.n)}")
         for i in self.removed:
             if not _is_int(i) or not 0 <= i < self.n:
                 raise ValidationError(
-                    f"removed index {i!r} outside the part range 0..{self.n - 1}")
+                    f"removed index {_echo(i)} outside the part range 0..{_echo(self.n - 1)}")
         if not self.removed:
             raise ValidationError("at least one part must be removed")
         if len(self.removed) >= self.n:
@@ -444,7 +445,7 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {x}")
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
     if depth_cap < 0:
         raise ValidationError("depth cap must be nonnegative")
     if isinstance(spec, Power):

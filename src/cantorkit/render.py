@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import ConstructionSpec, _grid_stages
-from .errors import ValidationError
+from .errors import ValidationError, _cut
 
 _PAD = 10
 _GUTTER = 36
@@ -28,10 +28,11 @@ class RenderConfig:
 
     def __post_init__(self) -> None:
         if self.width_px < 100:
-            raise ValidationError(f"render width must be at least 100 px, got {self.width_px}")
+            raise ValidationError(
+                f"render width must be at least 100 px, got {_cut(str(self.width_px))}")
         if self.row_height_px < 8:
             raise ValidationError(
-                f"row height must be at least 8 px, got {self.row_height_px}")
+                f"row height must be at least 8 px, got {_cut(str(self.row_height_px))}")
         if self.depth < 0:
             raise ValidationError("render depth must be nonnegative")
 

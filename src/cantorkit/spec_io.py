@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .constructions import ConstructionSpec, Power, Proportional, Subdivision
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError, _echo
 from .exact import _is_int
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -35,14 +35,10 @@ PRESETS: dict[str, ConstructionSpec] = {
 def fraction_str(x: Fraction) -> str:
     """Canonical "num/den" form, lowest terms, denominator always written."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _echo(value: str) -> str:
-    """The repr of an offending value, cut after 100 characters, with its length."""
-    if len(value) <= 100:
-        return repr(value)
-    return f"{value[:100]!r}... ({len(value)} characters)"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise _too_long_to_write(x.numerator, x.denominator) from None
 
 
 def _too_many_digits(what: str, text: str) -> ParseError:
@@ -54,6 +50,27 @@ def _too_many_digits(what: str, text: str) -> ParseError:
     return ParseError(
         f"{what} holds a {digits}-digit integer, over the limit of "
         f"{sys.get_int_max_str_digits()} digits")
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n, found without writing n out."""
+    n = abs(n)
+    # 0.30103 > log10(2), so this never undercounts.
+    digits = n.bit_length() * 30103 // 100000 + 1
+    while digits > 1 and n < 10 ** (digits - 1):
+        digits -= 1
+    return digits
+
+
+def _too_long_to_write(num: int, den: int) -> ResourceLimitError:
+    """Refusal of an output fraction with a part over the int-string limit.
+
+    Like `_too_many_digits`, it states the digit count and the limit rather
+    than the number.
+    """
+    return ResourceLimitError(
+        f"output fraction holds a {_digit_count(max(abs(num), den))}-digit integer, "
+        f"over the limit of {sys.get_int_max_str_digits()} digits")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -79,7 +96,7 @@ _DOCUMENT_FIELDS = {
 def _require_int(doc: dict, field: str) -> int:
     value = doc[field]
     if not _is_int(value):
-        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+        raise ParseError(f"field {field!r} must be an integer, got {_echo(value)}")
     return value
 
 
@@ -97,28 +114,29 @@ def _parse_document(body: str) -> ConstructionSpec:
     kind = doc.get("type")
     if kind not in _DOCUMENT_FIELDS:
         raise ParseError(
-            f"unknown construction type {kind!r}; expected one of "
+            f"unknown construction type {_echo(kind)}; expected one of "
             f"{sorted(_DOCUMENT_FIELDS)}")
     expected = _DOCUMENT_FIELDS[kind]
     unknown = set(doc) - expected
     if unknown:
-        raise ParseError(f"unknown field(s) {sorted(unknown)} for type {kind!r}")
+        raise ParseError(f"unknown field(s) {_echo(sorted(unknown))} for type {kind!r}")
     missing = expected - set(doc)
     if missing:
         raise ParseError(f"missing field(s) {sorted(missing)} for type {kind!r}")
     if kind == "proportional":
         p = doc["p"]
         if not isinstance(p, str):
-            raise ParseError(f"field 'p' must be a fraction string, got {p!r}")
+            raise ParseError(f"field 'p' must be a fraction string, got {_echo(p)}")
         return Proportional(parse_fraction(p))
     if kind == "power":
         return Power(_require_int(doc, "m"))
     removed = doc["removed"]
     if not isinstance(removed, list):
-        raise ParseError(f"field 'removed' must be a list of integers, got {removed!r}")
+        raise ParseError(
+            f"field 'removed' must be a list of integers, got {_echo(removed)}")
     for i in removed:
         if not _is_int(i):
-            raise ParseError(f"removed index {i!r} is not an integer")
+            raise ParseError(f"removed index {_echo(i)} is not an integer")
     return Subdivision(_require_int(doc, "n"), frozenset(removed))
 
 
@@ -143,12 +161,15 @@ def parse_spec(text: str) -> ConstructionSpec:
         "svc:<m>, or a JSON spec document")
 
 
+def _spec_doc(spec: ConstructionSpec) -> dict:
+    """The canonical spec document as a dict, the `spec` field of JSON output."""
+    if isinstance(spec, Proportional):
+        return {"type": "proportional", "p": fraction_str(spec.p)}
+    if isinstance(spec, Power):
+        return {"type": "power", "m": spec.m}
+    return {"type": "subdivision", "n": spec.n, "removed": sorted(spec.removed)}
+
+
 def emit_spec(spec: ConstructionSpec) -> str:
     """Canonical spec document text; parse_spec(emit_spec(s)) == s."""
-    if isinstance(spec, Proportional):
-        doc = {"type": "proportional", "p": fraction_str(spec.p)}
-    elif isinstance(spec, Power):
-        doc = {"type": "power", "m": spec.m}
-    else:
-        doc = {"type": "subdivision", "n": spec.n, "removed": sorted(spec.removed)}
-    return json.dumps(doc)
+    return json.dumps(_spec_doc(spec))

@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
+import os
 import random
+import re
+import subprocess
+import sys
+import tempfile
 import time
+from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cantorkit import (
     CANTOR_TERNARY,
@@ -23,7 +34,44 @@ from cantorkit import (
     parse_spec,
     render_svg,
 )
-from cantorkit.cli import cmd_analyze, cmd_construct, cmd_member, main
+from cantorkit import cli
+from cantorkit.cli import _build_parser, cmd_analyze, cmd_construct, cmd_member, main
+from cantorkit.spec_io import _digit_count
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr, bytes of the --out file or None) of one main call.
+
+    The --out file, if one was written, is read and removed, so the same
+    argv can run again against a clean directory.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    written = None
+    if "--out" in argv[:-1]:
+        target = argv[argv.index("--out") + 1]
+        with contextlib.suppress(OSError, ValueError):
+            if os.path.isfile(target):
+                written = Path(target).read_bytes()
+                os.remove(target)
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+def assert_error_line(result, error=None):
+    """A failing run: empty stdout and one JSON line of under 512 bytes on stderr."""
+    code, out, err, _ = result
+    assert code in (2, 3, 4)
+    assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    assert len(err.encode()) < 512
+    doc = json.loads(err)
+    assert doc["error"] == (error or doc["error"])
+    return doc["message"]
 
 
 class TestFractionStrings:
@@ -446,3 +494,360 @@ class TestMainPlumbing:
         doc = json.loads(capsys.readouterr().out)
         assert doc["spec"] == {"type": "subdivision", "n": 4, "removed": [2]}
         assert doc["stage_measures"] == ["1/1", "3/4", "9/16"]
+
+
+SWEEP_SPECS = ("cantor", "c12", "c14", "c34", "ac", "ac-reflected", "ac5a", "ac5b",
+               "svc:2", "svc:3", "svc:4", '{"type": "subdivision", "n": 5, "removed": [1, 3]}')
+
+
+def sweep_argv(tmp: str, rng: random.Random) -> list[list[str]]:
+    """Every subcommand in text and JSON, --out, --help and every error kind."""
+    out, missing = os.path.join(tmp, "out.txt"), os.path.join(tmp, "missing", "f")
+    argvs = [
+        ["--help"], ["construct", "--help"], ["analyze", "--help"], ["member", "--help"],
+        ["render", "--help"], ["cantorfun", "--help"],
+        [], ["bogus"], ["construct"], ["member", "--spec", "cantor"],
+        ["construct", "--spec", "cantor", "--depth", "abc"],
+        ["construct", "--spec", "cantor", "--format", "xml"],
+        ["construct", "--spec", "cantor", "--bogus", "1"],
+        ["construct", "--spec", "cantor", "--=1"],
+        ["construct", "--spec", "kantor"],
+        ["member", "--spec", "cantor", "--x", "one third"],
+        ["construct", "--spec", '{"type": "proportional", "p": "5/4"}'],
+        ["analyze", "--spec", "cantor", "--depth", "-1"],
+        ["render", "--spec", "cantor", "--width", "50"],
+        ["member", "--spec", "cantor", "--x", "3/2"],
+        ["cantorfun", "--x", "1/2"],
+        ["construct", "--spec", "cantor", "--depth", "64"],
+        ["construct", "--spec", "svc:1" + "0" * 1500],
+        ["construct", "--spec", "cantor", "--out", missing],
+    ]
+    while len(argvs) < 240:
+        command = rng.choice(("construct", "analyze", "member", "render", "cantorfun"))
+        argv = [command]
+        if command != "cantorfun":
+            argv += ["--spec", rng.choice(SWEEP_SPECS)]
+        if command in ("construct", "analyze", "render") and rng.random() < 0.8:
+            argv += ["--depth", str(rng.randint(0, 4))]
+        if command in ("member", "cantorfun"):
+            q = rng.randint(1, 60)
+            argv += ["--x", f"{rng.randint(0, q)}/{q}"]
+        if command == "member" and rng.random() < 0.5:
+            argv += ["--cap", rng.choice(("0", "7", "50"))]
+        if command in ("construct", "analyze", "member") and rng.random() < 0.7:
+            argv += ["--format", rng.choice(("text", "json"))]
+        if command == "render":
+            if rng.random() < 0.5:
+                argv.append("--label")
+            if rng.random() < 0.3:
+                argv += ["--width", str(rng.choice((100, 320, 800)))]
+        if rng.random() < 0.2:
+            argv += ["--out", out]
+        argvs.append(argv)
+    rng.shuffle(argvs)
+    return argvs
+
+
+class TestParserReuse:
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_the_parser_is_not_built_at_import(self):
+        code = ("import cantorkit.cli as cli\n"
+                "print(cli._build_parser.cache_info().misses)\n"
+                "for _ in range(3):\n"
+                "    cli.main(['cantorfun', '--x', '1/4'])\n"
+                "print(cli._build_parser.cache_info().misses)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1/3", "1/3", "1/3", "1"]
+
+    def test_a_reused_parser_answers_as_a_fresh_one(self, tmp_path, monkeypatch):
+        argvs = sweep_argv(str(tmp_path), random.Random(2718))
+        reused = [run_main(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_build_parser", lambda: _build_parser.__wrapped__())
+        fresh = [run_main(argv) for argv in argvs]
+        for argv, got, want in zip(argvs, reused, fresh):
+            assert got == want, argv
+        assert {code for code, *_ in fresh} == {0, 2, 3, 4}
+        assert any(written for *_, written in fresh)
+
+    @pytest.mark.parametrize("first, second, check", [
+        (["render", "--spec", "cantor", "--depth", "2", "--label"],
+         ["render", "--spec", "cantor", "--depth", "2"], lambda out: "<text" not in out),
+        (["member", "--spec", "svc:4", "--x", "1/3", "--cap", "50"],
+         ["member", "--spec", "svc:4", "--x", "1/3"],
+         lambda out: "undecided through depth 10000" in out),
+        (["construct", "--spec", "cantor", "--depth", "2", "--format", "json"],
+         ["construct", "--spec", "cantor", "--depth", "2"],
+         lambda out: out.startswith("[0/1, 1/1]\n")),
+    ], ids=["label", "cap", "format"])
+    def test_an_option_does_not_leak_into_the_next_call(self, first, second, check,
+                                                        monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_build_parser", lambda: _build_parser.__wrapped__())
+            want = run_main(second)
+        run_main(first)
+        got = run_main(second)
+        assert got == want
+        assert got[0] == 0 and check(got[1])
+
+
+HUGE_BASE = "svc:1" + "0" * 1500
+
+
+class TestOutputIntegerLimit:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--spec", HUGE_BASE],
+        ["construct", "--spec", HUGE_BASE, "--format", "json"],
+        ["analyze", "--spec", HUGE_BASE, "--depth", "3"],
+        ["analyze", "--spec", HUGE_BASE, "--depth", "3", "--format", "json"],
+        ["construct", "--spec", "svc:1" + "0" * 3000],
+        ["analyze", "--spec", "svc:1" + "0" * 3000, "--format", "json"],
+    ], ids=["construct-text", "construct-json", "analyze-text", "analyze-json",
+            "construct-3001", "analyze-3001"])
+    def test_an_output_integer_over_the_limit_is_refused(self, argv):
+        message = assert_error_line(run_main(argv), "resource")
+        match = re.fullmatch(
+            r"output fraction holds a (\d+)-digit integer, over the limit of (\d+) digits",
+            message)
+        assert match and int(match[1]) > int(match[2]) == sys.get_int_max_str_digits()
+        assert "0" * 50 not in message
+
+    def test_render_and_member_still_answer(self):
+        assert run_main(["render", "--spec", HUGE_BASE, "--depth", "3"])[0] == 0
+        code, out, err, _ = run_main(["member", "--spec", HUGE_BASE, "--x", "1/3",
+                                      "--cap", "20"])
+        assert (code, err) == (0, "") and "undecided through depth 20" in out
+
+    def test_digit_count(self):
+        for k in range(1200):
+            for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, 2 ** k, -(3 ** k)):
+                assert _digit_count(n) == len(str(abs(n)))
+
+
+LONG_TEXT = "k" * 5000
+LONG_INT = "3" * 4000
+
+
+class TestEchoedValues:
+    @pytest.mark.parametrize("doc, message", [
+        ('{"type": "proportional", "p": "1/3", "extra": 1}',
+         "unknown field(s) ['extra'] for type 'proportional'"),
+        ('{"type": "mystery"}',
+         "unknown construction type 'mystery'; expected one of "
+         "['power', 'proportional', 'subdivision']"),
+        ('{"type": "power", "m": "2"}', "field 'm' must be an integer, got '2'"),
+        ('{"type": "proportional", "p": 0.5}',
+         "field 'p' must be a fraction string, got 0.5"),
+        ('{"type": "subdivision", "n": 4, "removed": 2}',
+         "field 'removed' must be a list of integers, got 2"),
+        ('{"type": "subdivision", "n": 4, "removed": ["2"]}',
+         "removed index '2' is not an integer"),
+        ('{"type": "power", "m": 1}', "power base must be an integer >= 2, got 1"),
+        ('{"type": "subdivision", "n": 2, "removed": [1]}',
+         "part count must be an integer >= 3, got 2"),
+        ('{"type": "subdivision", "n": 4, "removed": [4]}',
+         "removed index 4 outside the part range 0..3"),
+        ('{"type": "proportional", "p": "5/4"}',
+         "removal proportion must lie in (0, 1), got 5/4"),
+    ])
+    def test_a_short_value_is_echoed_whole(self, doc, message):
+        assert assert_error_line(run_main(["construct", "--spec", doc])) == message
+
+    @pytest.mark.parametrize("doc", [
+        '{"type": "proportional", "p": "1/3", "%s": 1}' % LONG_TEXT,
+        '{"type": "%s"}' % LONG_TEXT,
+        '{"type": "power", "m": "%s"}' % LONG_TEXT,
+        '{"type": "proportional", "p": %s}' % LONG_INT,
+        '{"type": "subdivision", "n": 4, "removed": "%s"}' % LONG_TEXT,
+        '{"type": "subdivision", "n": 4, "removed": ["%s"]}' % LONG_TEXT,
+        '{"type": "power", "m": -%s}' % LONG_INT,
+        '{"type": "subdivision", "n": -%s, "removed": [1]}' % LONG_INT,
+        '{"type": "subdivision", "n": 4, "removed": [%s]}' % LONG_INT,
+        '{"type": "subdivision", "n": %s, "removed": [-1]}' % LONG_INT,
+        '{"type": "proportional", "p": "%s"}' % LONG_INT,
+    ], ids=["field", "type", "m", "p", "removed", "removed-item", "power-base",
+            "part-count", "index", "index-range", "proportion"])
+    def test_a_long_value_in_a_spec_document_is_echoed_in_part(self, doc):
+        message = assert_error_line(run_main(["construct", "--spec", doc]))
+        assert re.search(r"\.\.\. \((4\d\d\d|5\d\d\d) characters\)", message)
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "--spec", "cantor", "--x", LONG_INT],
+        ["cantorfun", "--x", LONG_INT],
+        ["cantorfun", "--x", "1/" + "2" * 4000],
+        ["render", "--spec", "cantor", "--width", "-" + LONG_INT],
+        ["render", "--spec", "cantor", "--row-height", "-" + LONG_INT],
+    ], ids=["member", "cantorfun-range", "cantorfun-not-in-set", "width", "row-height"])
+    def test_a_long_number_in_a_domain_or_render_check_is_echoed_in_part(self, argv):
+        assert "characters)" in assert_error_line(run_main(argv))
+
+    @pytest.mark.parametrize("value", ["é" * 100, "\\" * 100, "\U0001F600" * 100, '"' * 100],
+                             ids=["accent", "backslash", "astral", "quote"])
+    def test_a_value_that_escapes_long_in_json_is_cut_sooner(self, value):
+        for argv in (["construct", "--spec", value],
+                     ["member", "--spec", "cantor", "--x", value],
+                     ["construct", "--spec", "cantor", "--format", value],
+                     ["construct", "--spec", "cantor", value]):
+            assert "... (100 characters)" in assert_error_line(run_main(argv), "parse")
+
+    def test_an_ambiguous_option_is_echoed_in_part(self):
+        message = assert_error_line(run_main(["construct", "--spec", "cantor",
+                                              "--=" + "z" * 100_000]), "parse")
+        assert "(100003 characters)" in message
+        message = assert_error_line(run_main(["construct", "--spec", "cantor", "--=1"]))
+        assert message.startswith("ambiguous option: --=1 could match --")
+
+    @pytest.mark.parametrize("name", ["a\x00b", "\ud800", "d" * 100_000],
+                             ids=["nul", "surrogate", "long"])
+    def test_an_out_path_that_cannot_be_written_is_a_json_line(self, name, tmp_path):
+        argv = ["construct", "--spec", "cantor", "--out", str(tmp_path / name)]
+        assert "cannot write output file" in assert_error_line(run_main(argv), "parse")
+
+    def test_a_spec_file_that_is_not_utf8_is_a_json_line(self, tmp_path):
+        doc = tmp_path / "spec.bin"
+        doc.write_bytes(b"\xff\xfe\x00")
+        message = assert_error_line(run_main(["construct", "--spec", str(doc)]), "parse")
+        assert message.startswith("cannot read spec document ")
+        assert "'utf-8' codec can't decode byte 0xff" in message
+
+
+# Strategies for the fuzz below. Long integers come as a repeated chunk, so a
+# 5,000-digit draw costs hypothesis a few bytes of its buffer.
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else bad)
+
+
+def _digits(low: int, high: int):
+    return st.builds(lambda head, chunk, k: head + (chunk * k)[:k - 1],
+                     st.sampled_from("123456789"), st.text("0123456789", min_size=1, max_size=4),
+                     st.integers(low, high))
+
+
+_signs = _mostly(st.just(""), st.just("-"))
+SMALL_INTS = st.integers(-3, 12).map(str) | st.builds(str.__add__, _signs, _digits(1, 40))
+LONG_INTS = st.builds(str.__add__, _signs, _digits(4000, 5000))
+HOSTILE = st.text(max_size=20) | st.builds(
+    lambda piece, k: piece * k, st.text(min_size=1, max_size=3), st.integers(90, 5000))
+
+
+def _not_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Hostile values for integer flags must not parse: "29" as a depth would ask
+# for 2**29 intervals.
+NOT_INT = HOSTILE.filter(_not_int)
+UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=1000).map(
+    lambda x: f"{x.numerator}/{x.denominator}")
+
+
+def _fractions(ints):
+    return _mostly(UNIT_FRACTIONS | ints | st.builds(lambda a, b: f"{a}/{b}", ints, ints),
+                   HOSTILE)
+
+
+def _json_values(ints):
+    return st.one_of(
+        ints, st.sampled_from(["null", "true", "0.5", "{}"]),
+        st.one_of(HOSTILE, _fractions(ints)).map(json.dumps),
+        st.lists(ints, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"))
+
+
+@st.composite
+def spec_texts(draw, long_ints: bool):
+    """Presets, svc forms, hostile text and spec documents, mostly well formed.
+
+    With long_ints, integers run up to 5,000 digits, and a subdivision with
+    such an n removes at most one index.
+    """
+    ints = st.one_of(SMALL_INTS, LONG_INTS) if long_ints else SMALL_INTS
+    form = draw(st.sampled_from(["preset", "svc", "text", "document"]))
+    if form == "preset":
+        return draw(st.sampled_from(SWEEP_SPECS))
+    if form == "svc":
+        return "svc:" + draw(_mostly(ints, NOT_INT))
+    if form == "text":
+        return draw(HOSTILE)
+    kind = draw(_mostly(st.sampled_from(["proportional", "power", "subdivision"]), HOSTILE))
+    fields = {"type": json.dumps(kind)}
+    if kind == "proportional":
+        fields["p"] = draw(_mostly(_fractions(ints).map(json.dumps), _json_values(ints)))
+    elif kind == "power":
+        fields["m"] = draw(_mostly(ints, _json_values(ints)))
+    elif kind == "subdivision":
+        fields["n"] = n = draw(_mostly(ints, _json_values(ints)))
+        indices = st.lists(st.integers(-1, 12).map(str) | ints,
+                           max_size=1 if len(n) > 40 else 4)
+        fields["removed"] = draw(_mostly(indices.map(lambda xs: "[" + ", ".join(xs) + "]"),
+                                         _json_values(SMALL_INTS)))
+    if not draw(st.integers(0, 9)):
+        fields[json.dumps(draw(HOSTILE))[1:-1]] = draw(_json_values(ints))
+    if not draw(st.integers(0, 9)):
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+
+
+FLAGS = {
+    "construct": ("--depth", "--format", "--out"),
+    "analyze": ("--depth", "--format", "--out"),
+    "member": ("--cap", "--format", "--out"),
+    "render": ("--depth", "--width", "--row-height", "--label", "--out"),
+    "cantorfun": ("--out",),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One command line; depths stay <= 6 and caps <= 200, so every run is bounded.
+
+    An --out value is a bare file name, which the test puts in a fresh directory.
+    """
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    # The membership walks' state grows with the spec's integers (a cap-200
+    # walk over a 1,000-digit base takes about a second), so member draws
+    # short ones.
+    values = {
+        "--spec": spec_texts(long_ints=command != "member"),
+        "--x": _fractions(SMALL_INTS | LONG_INTS),
+        "--depth": _mostly(st.integers(-1, 6).map(str), NOT_INT),
+        "--cap": _mostly(st.integers(-1, 200).map(str), NOT_INT),
+        "--format": _mostly(st.sampled_from(["text", "json"]), HOSTILE),
+        "--width": _mostly(st.sampled_from(["100", "800"]) | SMALL_INTS, LONG_INTS | NOT_INT),
+        "--row-height": _mostly(st.sampled_from(["8", "24"]), SMALL_INTS | NOT_INT),
+        "--out": HOSTILE.filter(lambda name: "/" not in name),
+    }
+    argv = [command if draw(st.integers(0, 9)) else draw(HOSTILE)]
+    required = {"member": ["--spec", "--x"], "cantorfun": ["--x"]}.get(command, ["--spec"])
+    for flag in required + draw(st.lists(st.sampled_from(FLAGS[command]), unique=True)):
+        if flag == "--label":
+            argv.append(flag)
+        elif flag not in required or draw(st.integers(0, 9)):
+            argv += [flag, draw(values[flag])]
+    if not draw(st.integers(0, 9)):
+        # A drawn "--d=29" would abbreviate --depth, so extras start otherwise.
+        argv.append(draw(st.sampled_from(["--help", "--=z", "--depth"])
+                         | HOSTILE.filter(lambda text: not text.startswith("-"))))
+    return argv
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(fuzz_argv())
+def test_fuzz_every_run_keeps_the_error_contract(argv):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [os.path.join(out_dir, arg) if flag == "--out" else arg
+                for flag, arg in zip([None, *argv], argv)]
+        code, out, err, _ = result = run_main(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code:
+        assert_error_line(result)
+    else:
+        assert err == ""
