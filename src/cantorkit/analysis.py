@@ -387,12 +387,12 @@ def characterization_equivalence_check(
             f"digit enumeration would build up to {len(es.allowed)}**{depth} intervals, "
             f"over the limit of {max_intervals}")
     stages = _grid_stages(spec, depth, max_intervals=max_intervals)
+    next(stages)  # stage 0, [0, 1]
     digits = sorted(es.allowed)
     prefixes, scale = [0], 1
-    for d in range(1, depth + 1):
+    for d, (den, pairs, _) in enumerate(stages, 1):
         prefixes = [p * es.base + g for p in prefixes for g in digits]
         scale *= es.base
-        den, pairs, _ = stages[d]
         common = lcm(den, scale)
         up, cells = common // den, common // scale
         stage_set = [(lo * up, hi * up) for lo, hi in pairs]

@@ -17,8 +17,10 @@ Every endpoint of stage k is an integer over one denominator: s**k for a
 proportional spec with child ratio r/s, n**k for a subdivision and
 (2m)**k for a power spec. One integer deletion rule per family
 (`_child_rule`), applied by one round (`_round`), builds the stages on
-that grid (`_grid_stages`), `next_stage` and the analysis census; the
-`Fraction`-valued `Stage`s are built only where an API returns them.
+that grid (`_grid_stages`), `next_stage` and the analysis census. The
+`Fraction`-valued `Stage`s are built only where an API returns them
+(`_stage`), one `Fraction` per distinct endpoint, shared by every stage
+that keeps it, and without checking again what `_round` has checked.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, so both families are
@@ -36,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
-from .exact import ClosedInterval, IntervalUnion, _is_int
+from .exact import ClosedInterval, IntervalUnion, _is_int, _trusted_interval, _trusted_union
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
 DEFAULT_DEPTH_CAP = 10_000
@@ -241,37 +243,64 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
 
 
 def _grid_stages(spec: ConstructionSpec, depth: int,
-                 max_intervals: int = MAX_ENUMERATED_INTERVALS) -> list[tuple]:
+                 max_intervals: int = MAX_ENUMERATED_INTERVALS) -> Iterator[tuple]:
     """Stages 0..depth as `(den, pairs, stalled)`: integer endpoint pairs over den.
 
-    Refused upfront by `_check_depth`. A stalled stage repeats as the same
-    entry, so its den stays put.
+    Refused by `_check_depth` before any stage is built; after that each
+    stage is built only when the caller asks for it, so a caller that
+    stops early pays for no later round. A stalled stage repeats as the
+    same entry, so its den stays put.
     """
     _check_depth(spec, depth, max_intervals)
     factor, rule = _child_rule(spec)
-    stages = [(1, [(0, 1)], False)]
-    c = 1
-    for _ in range(depth):
-        den, pairs, stalled = stages[-1]
-        if stalled:
-            stages.append(stages[-1])
-            continue
-        stages.append((den * factor, *_round(factor, rule, c, pairs, den)))
-        c *= 2
-    return stages
+
+    def stream():
+        den, pairs, stalled, c = 1, [(0, 1)], False, 1
+        yield den, pairs, stalled
+        for _ in range(depth):
+            if not stalled:
+                children, stalled = _round(factor, rule, c, pairs, den)
+                den, pairs, c = den * factor, children, 2 * c
+            yield den, pairs, stalled
+    return stream()
 
 
-def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool) -> Stage:
-    """The `Stage` whose components are the integer pairs over den."""
-    intervals = tuple(ClosedInterval(Fraction(a, den), Fraction(b, den)) for a, b in pairs)
-    return Stage(index, IntervalUnion(intervals), stalled)
+def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool,
+           known: dict[int, Fraction], factor: int) -> tuple[Stage, dict[int, Fraction]]:
+    """The `Stage` whose components are the integer pairs over den.
+
+    `known` maps a numerator over den to the `Fraction` already built for
+    it; only the other endpoints get a new one, and a point shares one
+    between its ends. Returns the stage and that map for the next grid,
+    den * factor. The pairs come from `_round`, which refused them unless
+    prev < a <= b on integers over den > 0: that is lo <= hi and
+    prev.hi < lo on the `Fraction`s, what the public constructors check,
+    so the intervals and the union are built without checking again.
+    """
+    intervals = []
+    ahead: dict[int, Fraction] = {}
+    for a, b in pairs:
+        lo = known.get(a)
+        if lo is None:
+            lo = Fraction(a, den)
+        if a == b:
+            hi = lo
+        else:
+            hi = known.get(b)
+            if hi is None:
+                hi = Fraction(b, den)
+        intervals.append(_trusted_interval(lo, hi))
+        ahead[factor * a] = lo
+        ahead[factor * b] = hi
+    return Stage(index, _trusted_union(tuple(intervals)), stalled), ahead
 
 
 def next_stage(spec: ConstructionSpec, s: Stage) -> Stage:
     """Apply one deletion round to every non-degenerate component.
 
     The endpoints are lifted to one denominator; for a power round k it is
-    a multiple of m**(k-1), so the removal lies on the next grid.
+    a multiple of m**(k-1), so the removal lies on the next grid. The
+    children keep the input stage's endpoint `Fraction`s.
     """
     if s.stalled:
         return s
@@ -280,7 +309,11 @@ def next_stage(spec: ConstructionSpec, s: Stage) -> Stage:
     den = lcm(scale, *(e.denominator for iv in s.intervals for e in (iv.lo, iv.hi)))
     pairs = [(iv.lo.numerator * (den // iv.lo.denominator),
               iv.hi.numerator * (den // iv.hi.denominator)) for iv in s.intervals]
-    return _stage(s.index + 1, den * factor, *_round(factor, rule, den // scale, pairs, den))
+    known = {}
+    for (a, b), iv in zip(pairs, s.intervals):
+        known[factor * a], known[factor * b] = iv.lo, iv.hi
+    return _stage(s.index + 1, den * factor,
+                  *_round(factor, rule, den // scale, pairs, den), known, factor)[0]
 
 
 def _power_over(branch: int, depth: int, limit: int) -> bool:
@@ -311,10 +344,15 @@ def _check_depth(spec: ConstructionSpec, depth: int,
 def iterate(spec: ConstructionSpec, depth: int,
             max_intervals: int = MAX_ENUMERATED_INTERVALS) -> list[Stage]:
     """Stages 0..depth; a stalled stage repeats. Refused upfront by `_check_depth`."""
+    factor = _child_rule(spec)[0]
     stages: list[Stage] = []
+    known: dict[int, Fraction] = {}
     for den, pairs, stalled in _grid_stages(spec, depth, max_intervals):
-        stages.append(stages[-1] if stages and stages[-1].stalled
-                      else _stage(len(stages), den, pairs, stalled))
+        if stages and stages[-1].stalled:
+            stages.append(stages[-1])
+        else:
+            stage, known = _stage(len(stages), den, pairs, stalled, known, factor)
+            stages.append(stage)
     return stages
 
 

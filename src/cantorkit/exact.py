@@ -128,6 +128,32 @@ class IntervalUnion:
         return True
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_interval(lo: Fraction, hi: Fraction) -> ClosedInterval:
+    """[lo, hi] built without `__post_init__`, as unpickling builds it.
+
+    Only for `Fraction`s the caller has already shown to satisfy lo <= hi.
+    """
+    iv = _new(ClosedInterval)
+    _set(iv, "lo", lo)
+    _set(iv, "hi", hi)
+    return iv
+
+
+def _trusted_union(intervals: tuple[ClosedInterval, ...]) -> IntervalUnion:
+    """The union of `intervals` built without `__post_init__`.
+
+    Only for a tuple the caller has already shown to be strictly
+    increasing and pairwise separated.
+    """
+    u = _new(IntervalUnion)
+    _set(u, "intervals", intervals)
+    return u
+
+
 def union_normalize(raw: Iterable[ClosedInterval]) -> IntervalUnion:
     """Sort intervals and merge overlapping or touching ones.
 

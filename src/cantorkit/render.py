@@ -42,7 +42,7 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
     gutter = _GUTTER if cfg.label else 0
     inner = cfg.width_px - gutter - 2 * _PAD
     left = gutter + _PAD
-    height = 2 * _PAD + len(stages) * cfg.row_height_px
+    height = 2 * _PAD + (cfg.depth + 1) * cfg.row_height_px
     bar_h = max(1, cfg.row_height_px - _BAR_GAP)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -52,7 +52,8 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
         f'<rect width="{cfg.width_px}" height="{height}" fill="#ffffff"/>',
         '<g fill="#1f2430">',
     ]
-    for row, (den, pairs, _) in enumerate(stages):
+    stalls = []
+    for row, (den, pairs, stalled) in enumerate(stages):
         y = _PAD + row * cfg.row_height_px
         scale, twice = 2 * inner, 2 * den
         for a, b in pairs:
@@ -60,11 +61,12 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
             x1 = left + (scale * b + den) // twice
             w = max(1, x1 - x0)
             lines.append(f'<rect x="{x0}" y="{y}" width="{w}" height="{bar_h}"/>')
+        stalls.append(stalled)
     lines.append('</g>')
     if cfg.label:
         lines.append('<g font-family="monospace" font-size="12" fill="#555555">')
         index = 0
-        for row, (_, _, stalled) in enumerate(stages):
+        for row, stalled in enumerate(stalls):
             # A stalled stage repeats, index and all.
             y = _PAD + row * cfg.row_height_px + bar_h - 1
             lines.append(f'<text x="{_PAD}" y="{y}">{index}</text>')

@@ -34,7 +34,7 @@ from cantorkit import (
     parse_spec,
     render_svg,
 )
-from cantorkit import cli
+from cantorkit import cli, constructions
 from cantorkit.cli import _build_parser, cmd_analyze, cmd_construct, cmd_member, main
 from cantorkit.spec_io import _digit_count
 
@@ -614,6 +614,26 @@ class TestOutputIntegerLimit:
             message)
         assert match and int(match[1]) > int(match[2]) == sys.get_int_max_str_digits()
         assert "0" * 50 not in message
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_construct_refuses_at_the_first_stage_it_cannot_write(self, monkeypatch, fmt):
+        # Stage 2 of this spec lies over n**2, an 8000-digit integer; the
+        # stages after it are never built.
+        rounds = []
+        real_round = constructions._round
+
+        def counting(*args):
+            rounds.append(1)
+            return real_round(*args)
+
+        monkeypatch.setattr(constructions, "_round", counting)
+        doc = '{"type": "subdivision", "n": %s, "removed": [1, 3, 5, 7]}' % ("9" * 4000)
+        result = run_main(["construct", "--spec", doc, "--depth", "6", "--format", fmt])
+        assert result[0] == 4
+        assert assert_error_line(result, "resource") == (
+            "output fraction holds a 8000-digit integer, "
+            f"over the limit of {sys.get_int_max_str_digits()} digits")
+        assert len(rounds) <= 2
 
     def test_render_and_member_still_answer(self):
         assert run_main(["render", "--spec", HUGE_BASE, "--depth", "3"])[0] == 0

@@ -7,9 +7,12 @@ test's own stage definition (`_own_stages`), which does not use the
 package's deletion rule.
 """
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -169,16 +172,50 @@ def test_characterization_check_matches_the_fraction_reference(data, case):
     assert characterization_equivalence_check(spec, es, depth) == _own_check(spec, es, depth)
 
 
+def _assert_stages_built_as_checked(stages, own):
+    """Each stage equals its rebuild through the public constructors, and `own`.
+
+    The stages are built without the constructors' checks; the rebuild runs
+    them. Every distinct endpoint value is one `Fraction` object, shared by
+    all the stages and both ends of a point that hold it.
+    """
+    stall = next((k for k, (_, stalled) in enumerate(own) if stalled), len(own))
+    assert len(stages) == len(own)
+    for i, (stage, (union, stalled)) in enumerate(zip(stages, own)):
+        rebuilt = Stage(min(i, stall), IntervalUnion(tuple(
+            ClosedInterval(iv.lo, iv.hi) for iv in stage.intervals)), stalled)
+        assert stage == rebuilt and stage.intervals == union
+        assert hash(stage) == hash(rebuilt)
+        for iv in stage.intervals:
+            for e in (iv.lo, iv.hi):
+                assert type(e) is Fraction
+                assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
+        assert pickle.loads(pickle.dumps(stage)) == stage
+        assert copy.deepcopy(stage) == stage
+    ends = [e for stage in stages for iv in stage.intervals for e in (iv.lo, iv.hi)]
+    assert len({id(e) for e in ends}) == len(set(ends))
+
+
+def _check_iterate_and_chain(spec, depth):
+    """`iterate` and a `next_stage` chain both equal `_own_stages`, built as checked."""
+    own = _own_stages(spec, depth)
+    _assert_stages_built_as_checked(iterate(spec, depth), own)
+    chain = [initial_stage()]
+    for _ in range(depth):
+        chain.append(next_stage(spec, chain[-1]))
+    _assert_stages_built_as_checked(chain, own)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + [f"svc:{m}" for m in range(2, 8)])
+def test_unchecked_stages_equal_the_checked_ones(name):
+    _check_iterate_and_chain(parse_spec(name), 8)
+
+
 @settings(max_examples=80, deadline=None)
 @given(specs_with_depth())
 @with_edge_cases
 def test_next_stage_chain_matches_iterate(case):
-    spec, depth = case
-    chain = [initial_stage()]
-    for _ in range(depth):
-        chain.append(next_stage(spec, chain[-1]))
-    assert chain == iterate(spec, depth)
-    assert [(s.intervals, s.stalled) for s in chain] == _own_stages(spec, depth)
+    _check_iterate_and_chain(*case)
 
 
 @st.composite
@@ -229,8 +266,9 @@ def test_stage_paths_build_no_intervals(monkeypatch):
     cmd_construct(spec, 8, "json")
     characterization_equivalence_check(spec, CANTOR_TERNARY, 8)
     assert built == []
-    iterate(spec, 1)
-    assert len(built) == 3
+    # The hook does fire: the public constructor still runs its check.
+    ClosedInterval(0, 1)
+    assert built == [(0, 1)]
 
 
 @pytest.mark.parametrize("children", [
