@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .constructions import (
     MAX_ENUMERATED_INTERVALS,
@@ -34,7 +34,7 @@ from .constructions import (
     _round,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut
-from .exact import _is_int
+from .exact import _as_fraction, _is_int
 
 
 def _length_census(spec: ConstructionSpec, n: int) -> Iterator[tuple[int, Counter, bool]]:
@@ -177,15 +177,22 @@ class DigitExpansion:
     @property
     def value(self) -> Fraction:
         """The exact rational this digit string denotes."""
-        b = self.base
-        pre_int = 0
-        for d in self.preperiod:
-            pre_int = pre_int * b + d
-        per_int = 0
-        for d in self.period:
-            per_int = per_int * b + d
-        scale = b ** len(self.preperiod)
-        return Fraction(pre_int, scale) + Fraction(per_int, scale * (b ** len(self.period) - 1))
+        return _digits_value(self.base, self.preperiod, self.period)
+
+
+def _digits_value(base: int, preperiod: Sequence[int], period: Sequence[int]) -> Fraction:
+    """The rational 0.preperiod(period) in base `base`, as one Fraction.
+
+    With K = len(preperiod) and L = len(period) > 0, the digits read as
+    integers pre and per give pre / b**K + per / (b**K * (b**L - 1)).
+    """
+    pre = per = 0
+    for d in preperiod:
+        pre = pre * base + d
+    for d in period:
+        per = per * base + d
+    span = base ** len(period) - 1
+    return Fraction(pre * span + per, span * base ** len(preperiod))
 
 
 def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]] | int:
@@ -201,8 +208,9 @@ def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]]
         # base * p - d * q lies in [0, q] only for the quotient d, and for
         # d - 1 too when the remainder is 0; smaller digit first.
         d, t = divmod(base * p, q)
-        outs = [(d - 1, q), (d, 0)] if t == 0 else [(d, t)]
-        return [(d, t) for d, t in outs if d in allowed]
+        if t:
+            return [(d, t)] if d in allowed else []
+        return [(d, t) for d, t in ((d - 1, q), (d, 0)) if d in allowed]
 
     start = x.numerator
     path, digits, todo = [start], [], [iter(steps(start))]
@@ -234,8 +242,8 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     Existential over the (at most two) expansions at every branch point;
     total because the state space is finite.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
+    x = _as_fraction(x)
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
     return isinstance(_digit_search(es, x), tuple)
 
@@ -245,8 +253,8 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
 
     Greedy on the smallest usable digit, so the result is deterministic.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
+    x = _as_fraction(x)
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
     run = _digit_search(es, x)
     return DigitExpansion(es.base, *run) if isinstance(run, tuple) else None
@@ -267,8 +275,8 @@ def cantor_function(x: Fraction) -> Fraction:
     Raises DomainError for points outside the set, naming the first digit
     position at which every expansion is forced onto the digit 1.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
+    x = _as_fraction(x)
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"the function is defined on [0, 1], got {_cut(str(x))}")
     run = _digit_search(CANTOR_TERNARY, x)
     if not isinstance(run, tuple):
@@ -276,8 +284,7 @@ def cantor_function(x: Fraction) -> Fraction:
             f"{_cut(str(x))} has no ternary expansion avoiding digit 1; "
             f"forced at position {run + 1}")
     preperiod, period = run
-    halved = DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period])
-    return halved.value
+    return _digits_value(2, [d // 2 for d in preperiod], [d // 2 for d in period])
 
 
 @dataclass(frozen=True)

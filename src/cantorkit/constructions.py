@@ -26,11 +26,14 @@ A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, so both families are
 read from one table of kept runs (`_kept_grid`). Limit membership for them
 is decided without enumerating stages: both are scale invariant, so it
-suffices to track the relative position of the query point inside its
+suffices to track the relative position p/q of the query point inside its
 (unique) current component and watch for boundary hits, removal hits, and
-revisited states. The power family has no scale invariance, so its walk
-(`_power_membership`) follows the component holding x = p/q down to the
-cap, with the offset and length in integers on the grid q * (2m)**k.
+revisited states. The part of q prime to d never shrinks along the walk,
+so the table of visited states is cleared whenever that part grows: no
+state seen before can come back. The power family has no scale
+invariance, so its walk (`_power_membership`) follows the component
+holding x = p/q down to the cap, with the offset and length in integers
+on the grid q * (2m)**k.
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from math import gcd, lcm
 from typing import Callable, Iterator
 
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
-from .exact import ClosedInterval, IntervalUnion, _is_int, _trusted_interval, _trusted_union
+from .exact import (
+    ClosedInterval,
+    IntervalUnion,
+    _as_fraction,
+    _is_int,
+    _trusted_interval,
+    _trusted_union,
+)
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
 DEFAULT_DEPTH_CAP = 10_000
@@ -367,11 +377,11 @@ def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    x = Fraction(x)
-    if not 0 <= x <= 1:
+    x = _as_fraction(x)
+    q, u = x.denominator, x.numerator
+    if not 0 <= u <= q:
         return False
     factor, rule = _child_rule(spec)
-    q, u = x.denominator, x.numerator
     lo, hi, c = 0, 1, 1
     for _ in range(depth):
         if lo == hi:
@@ -460,6 +470,23 @@ def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVer
     return UndecidedMemberToDepth(depth_cap)
 
 
+def _walk_table(spec: Proportional | Subdivision) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, ((a, w, w_c, gcd(w, d)), ...)): the kept runs as the walk reads them.
+
+    A run [a, a + w) has width w, and w_c is the largest divisor of w prime
+    to d. The runs come right to left: the first with a <= u / q is the
+    only one that can hold u / q.
+    """
+    d, runs = _kept_grid(spec)
+    table = []
+    for a, b in reversed(runs):
+        w = w_c = b - a
+        while (g := gcd(w_c, d)) > 1:
+            w_c //= g
+        table.append((a, w, w_c, gcd(w, d)))
+    return d, tuple(table)
+
+
 def limit_membership(spec: ConstructionSpec, x: Fraction,
                      depth_cap: int = DEFAULT_DEPTH_CAP) -> MembershipVerdict:
     """Decide membership of x in the limit set, without enumerating stages.
@@ -472,44 +499,65 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
     cycle, a position strictly inside a removed span proves exclusion.
 
     The position p/q is kept in lowest-terms integers over the kept-run
-    table: with u = d * p, a run [a, b) holding u / q maps it to
-    (u - a*q) / ((b - a) * q). As gcd(p, q) = 1, a common factor of the new
-    numerator and q divides gcd(d, q), so only (b - a) * gcd(d, q) can cancel.
+    table: with u = d * p, a run [a, b) of width w holding u / q maps it to
+    r / (w * q), r = u - a*q. As gcd(p, q) = 1, a common factor of r and q
+    divides gcd(d, q), so g = gcd(r, w * gcd(d, q)) is all that cancels.
+    gcd(d, q) is carried from step to step: the next one divides
+    m = gcd(d, gcd(w, d) * gcd(d, q)), so it is gcd(m, q'), and 1 with no
+    work on q' when m is 1.
 
-    The visited-state table is finite whenever the kept-run width factors
-    cancel (always for width-1 runs and for even-width runs at even
-    starts); otherwise `depth_cap` bounds the walk and the verdict may be
+    The visited-state table holds only states that can still come back.
+    Let w_c be the largest divisor of w prime to d. A step multiplies the
+    part of q prime to d by w_c / gcd(r, w_c), so that part never shrinks,
+    and it grows exactly when g is not a multiple of w_c. A revisited state
+    has the same q, so once the part grows no earlier state can come back
+    and the table is cleared; a state is entered only after the step out of
+    it shows no growth. The first revisit is found at the same depth as
+    with a table of every state. A walk whose q grows at every step (a run
+    width that does not cancel) keeps no state at all; it may still never
+    end, so `depth_cap` bounds it and the verdict may be
     `UndecidedMemberToDepth`.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
+    x = _as_fraction(x)
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
     if depth_cap < 0:
         raise ValidationError("depth cap must be nonnegative")
     if isinstance(spec, Power):
         return _power_membership(spec, x, depth_cap)
-    d, runs = _kept_grid(spec)
-    p, q = x.numerator, x.denominator
-    first_seen: dict[tuple[int, int], int] = {}
+    if depth_cap and (p == 0 or p == q):
+        # Later positions reach 0 or 1 only at a boundary hit, caught below.
+        return MemberByEndpoint(0)
+    d, runs = _walk_table(spec)
+    dq = gcd(d, q)
+    seen: dict[tuple[int, int], int] = {}
     for depth in range(depth_cap):
-        if p == 0 or p == q:
-            return MemberByEndpoint(depth)
-        if (p, q) in first_seen:
-            return MemberByCycle(depth - first_seen[p, q])
-        first_seen[p, q] = depth
+        if seen and (p, q) in seen:
+            return MemberByCycle(depth - seen[p, q])
         u = d * p
-        for a, b in runs:
-            if u <= b * q:
+        for a, w, w_c, w_d in runs:
+            aq = a * q
+            if aq <= u:
                 break
         else:
             return ExcludedAtDepth(depth + 1)
-        if u < a * q:
+        r, wq = u - aq, w * q
+        if r > wq:
             return ExcludedAtDepth(depth + 1)
-        if u == a * q or u == b * q:
-            # 0 < u < d * q here, so the neighbouring part is removed and
+        if r == 0 or r == wq:
+            # 0 < d * p < d * q, so the neighbouring part is removed and
             # x is an endpoint of the next stage.
             return MemberByEndpoint(depth + 1)
-        p, w = u - a * q, b - a
-        g = gcd(p, w * gcd(d, q))
-        p, q = p // g, w * q // g
+        g = gcd(r, w * dq)
+        if g % w_c:
+            seen.clear()
+        else:
+            seen[p, q] = depth
+        m = gcd(d, w_d * dq)
+        if g == 1:
+            p, q = r, wq
+        else:
+            p, q = r // g, wq // g
+        dq = 1 if m == 1 else gcd(m, q)
     return UndecidedMemberToDepth(depth_cap)

@@ -22,6 +22,11 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _as_fraction(value: object) -> Fraction:
+    """value as a Fraction: an exact Fraction as given, anything else converted."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def rat(numer: int, denom: int = 1) -> Fraction:
     """Normalized rational numer/denom; the sign lands on the numerator."""
     if denom == 0:

@@ -10,7 +10,10 @@ for the family).
 definitions, without the package's deletion rule, so the package's
 integer-grid kernel can be tested against it. `_power_membership` is the
 power family's limit-membership walk in `Fraction`s, the reference for the
-package's integer walk.
+package's integer walk. `_self_similar_membership` is the proportional and
+subdivision walk with a table of every state it has seen, the reference
+for the package's walk, which clears its table once no earlier state can
+come back.
 
 `_transition_graph`, `_predecessors`, `_dead_ends` and `_greedy_digits`
 are the digit automaton as four passes: build every reachable state, peel
@@ -21,15 +24,16 @@ with them, the reference for the package's one depth-first search.
 
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
 from cantorkit import (
-    DigitExpansion,
     DomainError,
     ExcludedAtDepth,
     ExpansionSpec,
     IntervalUnion,
+    MemberByCycle,
     MemberByEndpoint,
     MembershipVerdict,
     Power,
@@ -37,6 +41,7 @@ from cantorkit import (
     Subdivision,
     UndecidedMemberToDepth,
 )
+from cantorkit.constructions import _kept_grid
 
 
 def table(pairs) -> IntervalUnion:
@@ -169,6 +174,38 @@ def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVer
     return UndecidedMemberToDepth(depth_cap)
 
 
+def _self_similar_membership(spec: Proportional | Subdivision, x: Fraction,
+                             depth_cap: int) -> MembershipVerdict:
+    """Relative-position walk over the kept-run table, remembering every state.
+
+    With u = d * p, a run [a, b) holding u / q maps p/q to
+    (u - a*q) / ((b - a) * q), kept in lowest terms.
+    """
+    d, runs = _kept_grid(spec)
+    p, q = x.numerator, x.denominator
+    first_seen: dict[tuple[int, int], int] = {}
+    for depth in range(depth_cap):
+        if p == 0 or p == q:
+            return MemberByEndpoint(depth)
+        if (p, q) in first_seen:
+            return MemberByCycle(depth - first_seen[p, q])
+        first_seen[p, q] = depth
+        u = d * p
+        for a, b in runs:
+            if u <= b * q:
+                break
+        else:
+            return ExcludedAtDepth(depth + 1)
+        if u < a * q:
+            return ExcludedAtDepth(depth + 1)
+        if u == a * q or u == b * q:
+            return MemberByEndpoint(depth + 1)
+        p, w = u - a * q, b - a
+        g = gcd(p, w * gcd(d, q))
+        p, q = p // g, w * q // g
+    return UndecidedMemberToDepth(depth_cap)
+
+
 def _transition_graph(es: ExpansionSpec, x: Fraction) -> tuple[dict, int]:
     """Digit automaton reachable from x, over integer states p (meaning p/q)."""
     q = x.denominator
@@ -257,8 +294,12 @@ def reference_cantor_function(x: Fraction) -> Fraction:
         raise DomainError(
             f"{x} has no ternary expansion avoiding digit 1; "
             f"forced at position {longest + 1}")
+    # The halved digits as binary numerals: pre / 2**K + per / (2**K * (2**L - 1)).
     preperiod, period = run
-    return DigitExpansion(2, [d // 2 for d in preperiod], [d // 2 for d in period]).value
+    pre = int("".join(str(d // 2) for d in preperiod) or "0", 2)
+    per = int("".join(str(d // 2) for d in period), 2)
+    scale = 2 ** len(preperiod)
+    return Fraction(pre, scale) + Fraction(per, scale * (2 ** len(period) - 1))
 
 
 @st.composite
