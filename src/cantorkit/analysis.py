@@ -33,7 +33,7 @@ from .constructions import (
     _power_over,
     _round,
 )
-from .errors import DomainError, ResourceLimitError, ValidationError, _cut
+from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import _as_fraction, _is_int
 
 
@@ -119,10 +119,10 @@ class ExpansionSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "allowed", frozenset(self.allowed))
         if not _is_int(self.base) or self.base < 2:
-            raise ValidationError(f"expansion base must be an integer >= 2, got {self.base!r}")
+            raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(self.base)}")
         for d in self.allowed:
             if not _is_int(d) or not 0 <= d < self.base:
-                raise ValidationError(f"digit {d!r} outside base-{self.base} range")
+                raise ValidationError(f"digit {_echo(d)} outside base-{_echo(self.base)} range")
         if not self.allowed:
             raise ValidationError("at least one digit must be allowed")
         if len(self.allowed) >= self.base:
@@ -141,12 +141,12 @@ class DigitExpansion:
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
         if not _is_int(self.base) or self.base < 2:
-            raise ValidationError(f"expansion base must be an integer >= 2, got {self.base!r}")
+            raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(self.base)}")
         if not self.period:
             raise ValidationError("period must be nonempty")
         for d in self.preperiod + self.period:
             if not _is_int(d) or not 0 <= d < self.base:
-                raise ValidationError(f"digit {d!r} outside base-{self.base} range")
+                raise ValidationError(f"digit {_echo(d)} outside base-{_echo(self.base)} range")
 
     @classmethod
     def from_rational(cls, x: Fraction, base: int) -> "DigitExpansion":
@@ -156,10 +156,10 @@ class DigitExpansion:
         all-(base-1) period since it has no terminating form.
         """
         if not _is_int(base) or base < 2:
-            raise ValidationError(f"expansion base must be an integer >= 2, got {base!r}")
+            raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(base)}")
         x = Fraction(x)
         if not 0 <= x <= 1:
-            raise DomainError(f"expansions are defined on [0, 1], got {_cut(str(x))}")
+            raise DomainError(f"expansions are defined on [0, 1], got {_cut(x)}")
         if x == 1:
             return cls(base, (), (base - 1,))
         digits: list[int] = []
@@ -244,7 +244,7 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     """
     x = _as_fraction(x)
     if not 0 <= x.numerator <= x.denominator:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
     return isinstance(_digit_search(es, x), tuple)
 
 
@@ -255,7 +255,7 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     """
     x = _as_fraction(x)
     if not 0 <= x.numerator <= x.denominator:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
     run = _digit_search(es, x)
     return DigitExpansion(es.base, *run) if isinstance(run, tuple) else None
 
@@ -277,11 +277,11 @@ def cantor_function(x: Fraction) -> Fraction:
     """
     x = _as_fraction(x)
     if not 0 <= x.numerator <= x.denominator:
-        raise DomainError(f"the function is defined on [0, 1], got {_cut(str(x))}")
+        raise DomainError(f"the function is defined on [0, 1], got {_cut(x)}")
     run = _digit_search(CANTOR_TERNARY, x)
     if not isinstance(run, tuple):
         raise DomainError(
-            f"{_cut(str(x))} has no ternary expansion avoiding digit 1; "
+            f"{_cut(x)} has no ternary expansion avoiding digit 1; "
             f"forced at position {run + 1}")
     preperiod, period = run
     return _digits_value(2, [d // 2 for d in preperiod], [d // 2 for d in period])

@@ -1,8 +1,9 @@
 """Command line interface: construct, analyze, member, render, cantorfun.
 
 Results go to stdout (or --out); errors go to stderr as a single JSON
-line carrying a machine-readable code. Exit codes: 0 success, 2 parse or
-validation failure, 3 domain error, 4 resource refusal.
+line carrying the error kind's code, and the exit status is the kind's
+(see `errors`): 0 success, 2 parse or validation failure, 3 domain error,
+4 resource refusal.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from ast import literal_eval
 from fractions import Fraction
 from functools import cache
-from math import gcd
 from pathlib import Path
 from typing import Sequence
 
@@ -34,40 +34,17 @@ from .constructions import (
     ExcludedAtDepth,
     MemberByCycle,
     MemberByEndpoint,
-    MembershipVerdict,
     Power,
+    UndecidedMemberToDepth,
     _check_depth,
     _grid_stages,
     limit_membership,
     stage_membership,
     verdict_is_member,
 )
-from .errors import (
-    CantorKitError,
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-    ValidationError,
-    _cut,
-    _echo,
-    _fits,
-)
+from .errors import CantorKitError, ParseError, _cut, _echo, _fits
 from .render import RenderConfig, render_svg
-from .spec_io import (
-    _spec_doc,
-    _too_long_to_write,
-    emit_spec,
-    fraction_str,
-    parse_fraction,
-    parse_spec,
-)
-
-_ERROR_CODES = (
-    (ParseError, "parse", 2),
-    (ValidationError, "validation", 2),
-    (DomainError, "domain", 3),
-    (ResourceLimitError, "resource", 4),
-)
+from .spec_io import _ratio_str, _spec_doc, emit_spec, fraction_str, parse_fraction, parse_spec
 
 
 def cmd_construct(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
@@ -75,20 +52,13 @@ def cmd_construct(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
 
     Endpoints are written straight from the integer grid, one gcd each.
     """
-    def frac(a: int, den: int) -> str:
-        g = gcd(a, den)
-        try:
-            return f"{a // g}/{den // g}"
-        except ValueError:
-            raise _too_long_to_write(a // g, den // g) from None
-
     stages = _grid_stages(spec, depth)
     if fmt == "json":
-        return json.dumps([[[frac(a, den), frac(b, den)] for a, b in pairs]
+        return json.dumps([[[_ratio_str(a, den), _ratio_str(b, den)] for a, b in pairs]
                            for den, pairs, _ in stages])
     lines = []
     for den, pairs, stalled in stages:
-        line = " ∪ ".join(f"[{frac(a, den)}, {frac(b, den)}]" for a, b in pairs)
+        line = " ∪ ".join(f"[{_ratio_str(a, den)}, {_ratio_str(b, den)}]" for a, b in pairs)
         if stalled:
             line += " [stalled]"
         lines.append(line)
@@ -116,24 +86,22 @@ def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     _check_depth(spec, depth)
     measures, max_lengths = [], []
     for den, lengths, stalled in _length_census(spec, depth):
-        measures.append(Fraction(sum(length * count for length, count in lengths.items()), den))
-        max_lengths.append(Fraction(max(lengths), den))
-    census = sorted(((Fraction(length, den), count) for length, count in lengths.items()),
-                    reverse=True)
+        measures.append((sum(length * count for length, count in lengths.items()), den))
+        max_lengths.append((max(lengths), den))
     characterization = expansion_characterization(spec)
     dimension = None if isinstance(spec, Power) else similarity_dimension(spec)
     doc = {
         "spec": _spec_doc(spec),
         "depth": depth,
-        "stage_measures": [fraction_str(v) for v in measures],
-        "max_component_lengths": [fraction_str(v) for v in max_lengths],
+        "stage_measures": [_ratio_str(*v) for v in measures],
+        "max_component_lengths": [_ratio_str(*v) for v in max_lengths],
         "limit_measure": fraction_str(limit_measure(spec)),
         "limit_degenerate": limit_is_degenerate(spec),
         "stalled": stalled,
         "characterization": _characterization_doc(characterization),
-        "scale_census": [
-            {"length": fraction_str(length), "count": count} for length, count in census
-        ],
+        # Every length of the last stage lies over one denominator, den.
+        "scale_census": [{"length": _ratio_str(length, den), "count": lengths[length]}
+                         for length in sorted(lengths, reverse=True)],
         "similarity_dimension": dimension,
     }
     if fmt == "json":
@@ -162,24 +130,14 @@ def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _verdict_doc(verdict: MembershipVerdict) -> dict:
-    if isinstance(verdict, MemberByCycle):
-        return {"kind": "member-cycle", "cycle_length": verdict.cycle_length}
-    if isinstance(verdict, MemberByEndpoint):
-        return {"kind": "member-endpoint", "depth": verdict.depth}
-    if isinstance(verdict, ExcludedAtDepth):
-        return {"kind": "excluded", "depth": verdict.depth}
-    return {"kind": "undecided", "depth": verdict.depth}
-
-
-def _verdict_text(verdict: MembershipVerdict) -> str:
-    if isinstance(verdict, MemberByCycle):
-        return f"member (position cycles with length {verdict.cycle_length})"
-    if isinstance(verdict, MemberByEndpoint):
-        return f"member (endpoint from stage {verdict.depth} on)"
-    if isinstance(verdict, ExcludedAtDepth):
-        return f"not a member (removed at step {verdict.depth})"
-    return f"undecided through depth {verdict.depth}"
+# Each verdict type's JSON kind and text. A verdict holds one field, which
+# the JSON verdict carries under its own name and the text fills in.
+_VERDICTS = {
+    MemberByCycle: ("member-cycle", "member (position cycles with length {})"),
+    MemberByEndpoint: ("member-endpoint", "member (endpoint from stage {} on)"),
+    ExcludedAtDepth: ("excluded", "not a member (removed at step {})"),
+    UndecidedMemberToDepth: ("undecided", "undecided through depth {}"),
+}
 
 
 def cmd_member(spec: ConstructionSpec, x: Fraction, depth_cap: int = DEFAULT_DEPTH_CAP,
@@ -188,31 +146,23 @@ def cmd_member(spec: ConstructionSpec, x: Fraction, depth_cap: int = DEFAULT_DEP
     verdict = limit_membership(spec, x, depth_cap)
     check_depth = min(depth_cap, 20)
     stage_ok = stage_membership(spec, x, check_depth)
+    kind, text = _VERDICTS[type(verdict)]
+    field = vars(verdict)
     if fmt == "json":
         return json.dumps({
             "spec": _spec_doc(spec),
             "x": fraction_str(x),
-            "verdict": _verdict_doc(verdict),
+            "verdict": {"kind": kind, **field},
             "member": verdict_is_member(verdict),
             "stage_check_depth": check_depth,
             "stage_member": stage_ok,
         })
     return "\n".join([
         f"x: {fraction_str(x)}",
-        f"verdict: {_verdict_text(verdict)}",
+        f"verdict: {text.format(*field.values())}",
         f"stage check (depth {check_depth}): "
         + ("member" if stage_ok else "not a member"),
     ])
-
-
-def cmd_render(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> str:
-    """SVG document for the first cfg.depth stages."""
-    return render_svg(spec, cfg)
-
-
-def cmd_cantorfun(x: Fraction) -> str:
-    """Exact digit-halving function value as a fraction string."""
-    return fraction_str(cantor_function(x))
 
 
 def _load_spec(raw: str) -> ConstructionSpec:
@@ -225,7 +175,7 @@ def _load_spec(raw: str) -> ConstructionSpec:
         try:
             raw = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read spec document {_echo(raw)}: {_cut(str(exc))}") from exc
+            raise ParseError(f"cannot read spec document {_echo(raw)}: {_cut(exc)}") from exc
     return parse_spec(raw)
 
 
@@ -262,6 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     Sharing is safe: `parse_args` returns a fresh Namespace each time, `prog`
     is fixed rather than read from sys.argv, and help is formatted per call.
+    Each subcommand binds its handler as `run`. A handler looks up what it
+    calls in this module's globals when it runs, so a function replaced there
+    after the parser is built (a tracing wrapper, say) is the one called.
     """
     parser = _ArgumentParser(
         prog="cantorkit",
@@ -281,11 +234,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_spec(p)
     p.add_argument("--depth", type=int, default=3)
     add_common(p)
+    p.set_defaults(run=lambda a: cmd_construct(_load_spec(a.spec), a.depth, a.format))
 
     p = sub.add_parser("analyze", help="measures, characterization, census, dimension")
     add_spec(p)
     p.add_argument("--depth", type=int, default=5)
     add_common(p)
+    p.set_defaults(run=lambda a: cmd_analyze(_load_spec(a.spec), a.depth, a.format))
 
     p = sub.add_parser("member", help="limit membership verdict for a rational")
     add_spec(p)
@@ -293,6 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_DEPTH_CAP,
                    help="depth cap for the membership walk")
     add_common(p)
+    p.set_defaults(run=lambda a: cmd_member(
+        _load_spec(a.spec), parse_fraction(a.x), a.cap, a.format))
+
+    def render(a: argparse.Namespace) -> str:
+        # The options are checked before the spec is loaded.
+        cfg = RenderConfig(width_px=a.width, row_height_px=a.row_height, depth=a.depth,
+                           label=a.label)
+        return render_svg(_load_spec(a.spec), cfg)
 
     p = sub.add_parser("render", help="SVG iteration diagram")
     add_spec(p)
@@ -301,27 +264,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row-height", type=int, default=24)
     p.add_argument("--label", action="store_true", help="label rows with stage indices")
     p.add_argument("--out", help="write the SVG to this file instead of stdout")
+    p.set_defaults(run=render)
 
     p = sub.add_parser("cantorfun", help="exact digit-halving function value")
     p.add_argument("--x", required=True, help="query point as num/den")
     p.add_argument("--out", help="write the result to this file instead of stdout")
+    p.set_defaults(run=lambda a: fraction_str(cantor_function(parse_fraction(a.x))))
     return parser
-
-
-def _run(args: argparse.Namespace) -> str:
-    if args.command == "construct":
-        return cmd_construct(_load_spec(args.spec), args.depth, args.format)
-    if args.command == "analyze":
-        return cmd_analyze(_load_spec(args.spec), args.depth, args.format)
-    if args.command == "member":
-        return cmd_member(
-            _load_spec(args.spec), parse_fraction(args.x), args.cap, args.format)
-    if args.command == "render":
-        cfg = RenderConfig(
-            width_px=args.width, row_height_px=args.row_height,
-            depth=args.depth, label=args.label)
-        return cmd_render(_load_spec(args.spec), cfg)
-    return cmd_cantorfun(parse_fraction(args.x))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -332,7 +281,7 @@ def _emit(text: str, out: str | None) -> None:
             Path(out).write_text(text, encoding="utf-8")
         except (OSError, ValueError) as exc:
             # ValueError: a NUL or an unencodable character in the path.
-            raise ParseError(f"cannot write output file {_echo(out)}: {_cut(str(exc))}") from exc
+            raise ParseError(f"cannot write output file {_echo(out)}: {_cut(exc)}") from exc
     else:
         sys.stdout.write(text)
 
@@ -340,14 +289,10 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _emit(_run(args), args.out)
+        _emit(args.run(args), args.out)
     except CantorKitError as exc:
-        for klass, code, status in _ERROR_CODES:
-            if isinstance(exc, klass):
-                print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
-                return status
-        print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
-        return 1
+        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+        return exc.status
     return 0
 
 

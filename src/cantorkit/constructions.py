@@ -69,7 +69,7 @@ class Proportional:
         object.__setattr__(self, "p", Fraction(self.p))
         if not 0 < self.p < 1:
             raise ValidationError(
-                f"removal proportion must lie in (0, 1), got {_cut(str(self.p))}")
+                f"removal proportion must lie in (0, 1), got {_cut(self.p)}")
 
     @property
     def child_ratio(self) -> Fraction:
@@ -112,10 +112,6 @@ class Subdivision:
             raise ValidationError("at least one part must be removed")
         if len(self.removed) >= self.n:
             raise ValidationError("at least one part must be kept")
-
-    @property
-    def kept(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if i not in self.removed)
 
 
 ConstructionSpec = Proportional | Power | Subdivision
@@ -521,7 +517,7 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
     x = _as_fraction(x)
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(str(x))}")
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
     if depth_cap < 0:
         raise ValidationError("depth cap must be nonnegative")
     if isinstance(spec, Power):

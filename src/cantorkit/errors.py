@@ -1,33 +1,63 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto exit codes: parse and validation problems exit 2,
-domain errors 3, resource refusals 4.
+Each kind carries the code the CLI writes in its JSON error line and the
+CLI's exit status: parse and validation problems exit 2, domain errors 3,
+resource refusals 4, and any other toolkit error is reported as
+"internal" with exit 1.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Callable
 
 
 class CantorKitError(Exception):
     """Base class for all toolkit errors."""
+    code, status = "internal", 1
 
 
 class ParseError(CantorKitError):
     """Input text (spec document, preset name, fraction) could not be parsed."""
+    code, status = "parse", 2
 
 
 class ValidationError(CantorKitError):
     """A value violates a structural invariant."""
+    code, status = "validation", 2
 
 
 class DomainError(CantorKitError):
     """An argument lies outside the mathematical domain of an operation."""
+    code, status = "domain", 3
 
 
 class ResourceLimitError(CantorKitError):
     """An enumeration would exceed the configured size limit."""
+    code, status = "resource", 4
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n, found without writing n out."""
+    n = abs(n)
+    # 0.30103 > log10(2), so this never undercounts.
+    digits = n.bit_length() * 30103 // 100000 + 1
+    while digits > 1 and n < 10 ** (digits - 1):
+        digits -= 1
+    return digits
+
+
+def _written(value: object, show: Callable[[object], str]) -> str:
+    """show(value), never raising: an integer over the int-string limit by its digit count."""
+    try:
+        return show(value)
+    except ValueError:
+        if isinstance(value, Fraction) and value.denominator != 1:
+            return f"{_written(value.numerator, str)}/{_written(value.denominator, str)}"
+        if isinstance(value, (int, Fraction)):
+            return f"{'-' * (value < 0)}<{_digit_count(int(value))}-digit integer>"
+        return f"<{type(value).__name__} too long to write>"
 
 
 def _fits(shown: str) -> bool:
@@ -58,9 +88,9 @@ def _echo(value: object) -> str:
     """An offending value as its repr, cut to a bounded size (see `_shorten`)."""
     if isinstance(value, str):
         return _shorten(value, repr)
-    return _shorten(repr(value), str)
+    return _shorten(_written(value, repr), str)
 
 
-def _cut(text: str) -> str:
-    """Offending text shown as it is, cut to a bounded size (see `_shorten`)."""
-    return _shorten(text, str)
+def _cut(value: object) -> str:
+    """An offending value shown as str() does, cut to a bounded size (see `_shorten`)."""
+    return _shorten(_written(value, str), str)

@@ -29,10 +29,10 @@ class RenderConfig:
     def __post_init__(self) -> None:
         if self.width_px < 100:
             raise ValidationError(
-                f"render width must be at least 100 px, got {_cut(str(self.width_px))}")
+                f"render width must be at least 100 px, got {_cut(self.width_px)}")
         if self.row_height_px < 8:
             raise ValidationError(
-                f"row height must be at least 8 px, got {_cut(str(self.row_height_px))}")
+                f"row height must be at least 8 px, got {_cut(self.row_height_px)}")
         if self.depth < 0:
             raise ValidationError("render depth must be nonnegative")
 

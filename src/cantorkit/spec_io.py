@@ -13,9 +13,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .constructions import ConstructionSpec, Power, Proportional, Subdivision
-from .errors import ParseError, ResourceLimitError, _echo
+from .errors import ParseError, ResourceLimitError, _digit_count, _echo
 from .exact import _is_int
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -35,10 +36,16 @@ PRESETS: dict[str, ConstructionSpec] = {
 def fraction_str(x: Fraction) -> str:
     """Canonical "num/den" form, lowest terms, denominator always written."""
     x = Fraction(x)
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den (den > 0) in the canonical form of `fraction_str`, reduced by one gcd."""
+    g = gcd(num, den)
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{num // g}/{den // g}"
     except ValueError:
-        raise _too_long_to_write(x.numerator, x.denominator) from None
+        raise _too_long_to_write(num // g, den // g) from None
 
 
 def _too_many_digits(what: str, text: str) -> ParseError:
@@ -50,16 +57,6 @@ def _too_many_digits(what: str, text: str) -> ParseError:
     return ParseError(
         f"{what} holds a {digits}-digit integer, over the limit of "
         f"{sys.get_int_max_str_digits()} digits")
-
-
-def _digit_count(n: int) -> int:
-    """Decimal digits of n, found without writing n out."""
-    n = abs(n)
-    # 0.30103 > log10(2), so this never undercounts.
-    digits = n.bit_length() * 30103 // 100000 + 1
-    while digits > 1 and n < 10 ** (digits - 1):
-        digits -= 1
-    return digits
 
 
 def _too_long_to_write(num: int, den: int) -> ResourceLimitError:

@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 
 from cantorkit import (
     CANTOR_TERNARY,
+    CantorKitError,
+    DigitExpansion,
+    DomainError,
     ExpansionSpec,
     ParseError,
     Power,
@@ -26,10 +29,13 @@ from cantorkit import (
     ResourceLimitError,
     Subdivision,
     ValidationError,
+    cantor_function,
     characterization_equivalence_check,
     emit_spec,
+    expansion_membership,
     fraction_str,
     iterate,
+    limit_membership,
     parse_fraction,
     parse_spec,
     render_svg,
@@ -268,10 +274,17 @@ class TestMember:
         assert doc["member"] is None
         assert doc["stage_member"] is True
 
-    def test_text(self):
-        text = cmd_member(parse_spec("ac"), Fraction(1, 2))
-        assert "member (endpoint from stage 1 on)" in text
-        assert "stage check (depth 20): member" in text
+    @pytest.mark.parametrize("spec, x, cap, verdict, stage", [
+        ("ac", Fraction(1, 2), 10_000, "member (endpoint from stage 1 on)", "depth 20): member"),
+        ("cantor", Fraction(1, 4), 10_000, "member (position cycles with length 2)",
+         "depth 20): member"),
+        ("cantor", Fraction(1, 2), 10_000, "not a member (removed at step 1)",
+         "depth 20): not a member"),
+        ("svc:4", Fraction(1, 3), 12, "undecided through depth 12", "depth 12): member"),
+    ], ids=["endpoint", "cycle", "excluded", "undecided"])
+    def test_text(self, spec, x, cap, verdict, stage):
+        text = cmd_member(parse_spec(spec), x, cap)
+        assert text == f"x: {fraction_str(x)}\nverdict: {verdict}\nstage check ({stage}"
 
 
 class TestRenderSvg:
@@ -318,33 +331,33 @@ class TestMainExitCodes:
         assert out.out == "[0/1, 1/1]\n[0/1, 1/3] ∪ [2/3, 1/1]\n"
         assert out.err == ""
 
-    def test_parse_failure(self, capsys):
-        assert main(["construct", "--spec", "not-a-preset"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "parse"
-        assert "not-a-preset" in err["message"]
+    # The README's exit codes: parse and validation 2, domain 3, resource 4.
+    @pytest.mark.parametrize("argv, error, status, part", [
+        (["construct", "--spec", "not-a-preset"], "parse", 2, "not-a-preset"),
+        (["construct", "--spec", '{"type": "proportional", "p": "5/4"}'], "validation", 2,
+         "got 5/4"),
+        (["member", "--spec", "cantor", "--x", "3/2"], "domain", 3, "got 3/2"),
+        (["construct", "--spec", "cantor", "--depth", "64"], "resource", 4, "2**64"),
+    ], ids=["parse", "validation", "domain", "resource"])
+    def test_each_error_kind_has_its_code_and_status(self, argv, error, status, part):
+        code, out, err, _ = run_main(argv)
+        doc = json.loads(err)
+        assert (code, out, set(doc), doc["error"]) == (status, "", {"error", "message"}, error)
+        assert part in doc["message"]
 
-    def test_validation_failure(self, capsys):
-        doc = '{"type": "proportional", "p": "5/4"}'
-        assert main(["construct", "--spec", doc]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "validation"
+    def test_an_error_of_no_listed_kind_is_internal(self, monkeypatch):
+        def fail(*args):
+            raise CantorKitError("no listed kind")
 
-    def test_domain_failure(self, capsys):
-        assert main(["member", "--spec", "cantor", "--x", "3/2"]) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "domain"
+        monkeypatch.setattr(cli, "cmd_construct", fail)
+        assert run_main(["construct", "--spec", "cantor"]) == (
+            1, "", '{"error": "internal", "message": "no listed kind"}\n', None)
 
     def test_cantorfun_domain_failure(self, capsys):
         assert main(["cantorfun", "--x", "1/2"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "domain"
         assert "position 1" in err["message"]
-
-    def test_resource_failure(self, capsys):
-        assert main(["construct", "--spec", "cantor", "--depth", "64"]) == 4
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "resource"
 
     def test_analyze_is_refused_where_construct_is(self, capsys):
         assert main(["analyze", "--spec", "cantor", "--depth", "31"]) == 4
@@ -649,6 +662,7 @@ class TestOutputIntegerLimit:
 
 LONG_TEXT = "k" * 5000
 LONG_INT = "3" * 4000
+BIG = 10 ** 5000
 
 
 class TestEchoedValues:
@@ -712,6 +726,31 @@ class TestEchoedValues:
                      ["construct", "--spec", "cantor", "--format", value],
                      ["construct", "--spec", "cantor", value]):
             assert "... (100 characters)" in assert_error_line(run_main(argv), "parse")
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: Proportional(Fraction(BIG)), ValidationError),
+        (lambda: Power(-BIG), ValidationError),
+        (lambda: Subdivision(-BIG, {1}), ValidationError),
+        (lambda: Subdivision(3, {BIG}), ValidationError),
+        (lambda: ExpansionSpec(3, {BIG}), ValidationError),
+        (lambda: ExpansionSpec(-BIG, {0}), ValidationError),
+        (lambda: DigitExpansion(3, (), (BIG,)), ValidationError),
+        (lambda: DigitExpansion.from_rational(Fraction(BIG), 3), DomainError),
+        (lambda: limit_membership(parse_spec("cantor"), Fraction(BIG)), DomainError),
+        (lambda: expansion_membership(CANTOR_TERNARY, Fraction(BIG, 3)), DomainError),
+        (lambda: cantor_function(Fraction(BIG // 2 + 1, BIG)), DomainError),
+        (lambda: RenderConfig(width_px=-BIG), ValidationError),
+        (lambda: Power([BIG]), ValidationError),
+    ], ids=["proportion", "power-base", "part-count", "removed-index", "expansion-digit",
+            "expansion-base", "period-digit", "from-rational", "limit-membership",
+            "expansion-membership", "cantor-function", "render-width", "power-base-list"])
+    def test_a_library_call_with_a_number_too_long_to_write_raises_its_error(self, call, error):
+        # The CLI refuses such numbers while parsing; a library caller can pass them.
+        with pytest.raises(error) as exc:
+            call()
+        message = str(exc.value)
+        assert len(message.encode()) < 512 and "0" * 50 not in message
+        assert re.search(r"<\d+-digit integer>|<list too long to write>", message)
 
     def test_an_ambiguous_option_is_echoed_in_part(self):
         message = assert_error_line(run_main(["construct", "--spec", "cantor",
