@@ -31,6 +31,7 @@ from .constructions import (
     _grid_stages,
     _kept_grid,
     _power_over,
+    _removed_at,
     _round,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
@@ -195,12 +196,11 @@ def _digits_value(base: int, preperiod: Sequence[int], period: Sequence[int]) ->
     return Fraction(pre * span + per, span * base ** len(preperiod))
 
 
-def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]] | int:
+def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]] | None:
     """Greedy depth-first search of the digit automaton from x.
 
     Returns the (preperiod, period) of the run that always takes the
-    smallest digit leading to an infinite run or, when x has no infinite
-    run, the length of its longest allowed run.
+    smallest digit leading to an infinite run, or None when x has none.
     """
     q, base, allowed = x.denominator, es.base, es.allowed
 
@@ -215,7 +215,7 @@ def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]]
     start = x.numerator
     path, digits, todo = [start], [], [iter(steps(start))]
     position = {start: 0}
-    dead: dict[int, int] = {}
+    dead: set[int] = set()
     while path:
         for d, t in todo[-1]:
             if t in position:
@@ -232,8 +232,8 @@ def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]]
             del position[p]
             todo.pop()
             del digits[-1:]
-            dead[p] = 1 + max((dead[t] for _, t in steps(p)), default=-1)
-    return dead[start]
+            dead.add(p)
+    return None
 
 
 def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
@@ -245,7 +245,7 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     x = _as_fraction(x)
     if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
-    return isinstance(_digit_search(es, x), tuple)
+    return _digit_search(es, x) is not None
 
 
 def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
@@ -257,10 +257,11 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
     if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
     run = _digit_search(es, x)
-    return DigitExpansion(es.base, *run) if isinstance(run, tuple) else None
+    return None if run is None else DigitExpansion(es.base, *run)
 
 
 CANTOR_TERNARY = ExpansionSpec(3, frozenset({0, 2}))
+_MIDDLE_THIRDS = Proportional(Fraction(1, 3))
 
 
 def cantor_function(x: Fraction) -> Fraction:
@@ -279,10 +280,12 @@ def cantor_function(x: Fraction) -> Fraction:
     if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"the function is defined on [0, 1], got {_cut(x)}")
     run = _digit_search(CANTOR_TERNARY, x)
-    if not isinstance(run, tuple):
+    if run is None:
+        # The middle-thirds descent keeps w = q and 0 < r < q, and x is
+        # removed before any state repeats: within q rounds.
         raise DomainError(
             f"{_cut(x)} has no ternary expansion avoiding digit 1; "
-            f"forced at position {run + 1}")
+            f"forced at position {_removed_at(_MIDDLE_THIRDS, x, x.denominator)}")
     preperiod, period = run
     return _digits_value(2, [d // 2 for d in preperiod], [d // 2 for d in period])
 
@@ -376,8 +379,7 @@ def _separating_point(a: list[tuple[int, int]], b: list[tuple[int, int]],
 
 
 def characterization_equivalence_check(
-        spec: ConstructionSpec, es: ExpansionSpec, depth: int,
-        max_intervals: int = MAX_ENUMERATED_INTERVALS) -> CharacterizationVerdict:
+        spec: ConstructionSpec, es: ExpansionSpec, depth: int) -> CharacterizationVerdict:
     """Compare stages against digit prefix sets, level by level.
 
     Returns Characterized when they agree as point sets at every level up
@@ -389,11 +391,11 @@ def characterization_equivalence_check(
     """
     if depth < 1:
         raise ValidationError("comparison depth must be at least 1")
-    if _power_over(len(es.allowed), depth, max_intervals):
+    if _power_over(len(es.allowed), depth, MAX_ENUMERATED_INTERVALS):
         raise ResourceLimitError(
             f"digit enumeration would build up to {len(es.allowed)}**{depth} intervals, "
-            f"over the limit of {max_intervals}")
-    stages = _grid_stages(spec, depth, max_intervals=max_intervals)
+            f"over the limit of {MAX_ENUMERATED_INTERVALS}")
+    stages = _grid_stages(spec, depth)
     next(stages)  # stage 0, [0, 1]
     digits = sorted(es.allowed)
     prefixes, scale = [0], 1

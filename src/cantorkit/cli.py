@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .analysis import (
     Characterized,
-    NotCharacterizable,
     _length_census,
     cantor_function,
     expansion_characterization,
@@ -72,13 +71,7 @@ def _characterization_doc(verdict) -> dict:
             "base": verdict.spec.base,
             "allowed": sorted(verdict.spec.allowed),
         }
-    if isinstance(verdict, NotCharacterizable):
-        return {"status": "not-characterizable", "reason": verdict.reason}
-    return {
-        "status": "mismatch",
-        "depth": verdict.depth,
-        "point": fraction_str(verdict.point),
-    }
+    return {"status": "not-characterizable", "reason": verdict.reason}
 
 
 def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:

@@ -24,16 +24,17 @@ that keeps it, and without checking again what `_round` has checked.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, so both families are
-read from one table of kept runs (`_kept_grid`). Limit membership for them
-is decided without enumerating stages: both are scale invariant, so it
-suffices to track the relative position p/q of the query point inside its
-(unique) current component and watch for boundary hits, removal hits, and
-revisited states. The part of q prime to d never shrinks along the walk,
-so the table of visited states is cleared whenever that part grows: no
-state seen before can come back. The power family has no scale
-invariance, so its walk (`_power_membership`) follows the component
-holding x = p/q down to the cap, with the offset and length in integers
-on the grid q * (2m)**k.
+read from one table of kept runs (`_kept_grid`).
+
+The point queries keep one rule: an endpoint is never removed, and a
+descent reports the round that removes x. Rounds are translation invariant,
+so the stage descent (`_removed_at`) keeps x's offset in its component and
+the component's length as integers and applies the rule to [0, length]; the
+power walk (`_power_membership`) does the same on the grid q * (2m)**k. The
+other two families are also scale invariant, so their limit walk tracks x's
+relative position p/q and watches for endpoints, removals and revisited
+states; the part of q prime to d never shrinks, so the visited table is
+cleared whenever that part grows.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class Proportional:
     @property
     def child_ratio(self) -> Fraction:
         """Each of the two children is this fraction of its parent."""
-        return (1 - self.p) / 2
+        a, b = self.p.as_integer_ratio()
+        return Fraction(b - a, 2 * b)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def _kept_grid(spec: Proportional | Subdivision) -> tuple[int, tuple[tuple[int, 
     cost does not grow with a subdivision's n.
     """
     if isinstance(spec, Proportional):
-        r, s = spec.child_ratio.numerator, spec.child_ratio.denominator
+        r, s = spec.child_ratio.as_integer_ratio()
         return s, ((0, r), (s - r, s))
     runs = []
     start = 0
@@ -189,7 +191,7 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
         # built per call. On integers the table path measured 1.8-2.5x
         # slower building cantor, c14 and c34 stages at depth 13, and mostly
         # 1.1-1.4x slower in construct and render (best of 9, interleaved).
-        r, s = spec.child_ratio.numerator, spec.child_ratio.denominator
+        r, s = spec.child_ratio.as_integer_ratio()
 
         def rule(c: int, a: int, b: int):
             lo, hi, step = s * a, s * b, r * (b - a)
@@ -248,8 +250,7 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
     return children, stalled
 
 
-def _grid_stages(spec: ConstructionSpec, depth: int,
-                 max_intervals: int = MAX_ENUMERATED_INTERVALS) -> Iterator[tuple]:
+def _grid_stages(spec: ConstructionSpec, depth: int) -> Iterator[tuple]:
     """Stages 0..depth as `(den, pairs, stalled)`: integer endpoint pairs over den.
 
     Refused by `_check_depth` before any stage is built; after that each
@@ -257,7 +258,7 @@ def _grid_stages(spec: ConstructionSpec, depth: int,
     stops early pays for no later round. A stalled stage repeats as the
     same entry, so its den stays put.
     """
-    _check_depth(spec, depth, max_intervals)
+    _check_depth(spec, depth)
     factor, rule = _child_rule(spec)
 
     def stream():
@@ -331,9 +332,8 @@ def _power_over(branch: int, depth: int, limit: int) -> bool:
     return branch > 1 and depth > limit.bit_length() or branch ** depth > limit
 
 
-def _check_depth(spec: ConstructionSpec, depth: int,
-                 max_intervals: int = MAX_ENUMERATED_INTERVALS) -> None:
-    """Refuse a negative depth, or one whose stage could exceed `max_intervals`.
+def _check_depth(spec: ConstructionSpec, depth: int) -> None:
+    """Refuse a negative depth, or one whose stage could pass `MAX_ENUMERATED_INTERVALS`.
 
     The bound branch**depth ignores stalling, so a stalling construction
     past the limit is refused as well.
@@ -341,19 +341,18 @@ def _check_depth(spec: ConstructionSpec, depth: int,
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     branch = len(_child_rule(spec)[1](1, 0, 1)[0])
-    if _power_over(branch, depth, max_intervals):
+    if _power_over(branch, depth, MAX_ENUMERATED_INTERVALS):
         raise ResourceLimitError(
             f"stage {depth} could hold up to {branch}**{depth} intervals, "
-            f"over the limit of {max_intervals}")
+            f"over the limit of {MAX_ENUMERATED_INTERVALS}")
 
 
-def iterate(spec: ConstructionSpec, depth: int,
-            max_intervals: int = MAX_ENUMERATED_INTERVALS) -> list[Stage]:
+def iterate(spec: ConstructionSpec, depth: int) -> list[Stage]:
     """Stages 0..depth; a stalled stage repeats. Refused upfront by `_check_depth`."""
     factor = _child_rule(spec)[0]
     stages: list[Stage] = []
     known: dict[int, Fraction] = {}
-    for den, pairs, stalled in _grid_stages(spec, depth, max_intervals):
+    for den, pairs, stalled in _grid_stages(spec, depth):
         if stages and stages[-1].stalled:
             stages.append(stages[-1])
         else:
@@ -362,38 +361,43 @@ def iterate(spec: ConstructionSpec, depth: int,
     return stages
 
 
+def _removed_at(spec: ConstructionSpec, x: Fraction, depth: int) -> int:
+    """The round among 1..depth that removes x in [0, 1], or 0 when x survives.
+
+    x = p/q is kept as its offset r from its component's left end and the
+    component's length w, integers over q * D**k; the round is the rule on
+    [0, w], with the power rule's c = q * 2**(k-1). An endpoint survives.
+    """
+    factor, rule = _child_rule(spec)
+    r, w, c = x.numerator, x.denominator, x.denominator
+    for k in range(1, depth + 1):
+        if r == 0 or r == w:
+            return 0
+        children = rule(c, 0, w)[0]
+        r *= factor
+        c *= 2
+        for a, b in children:
+            if a <= r <= b:
+                r, w = r - a, b - a
+                break
+        else:
+            return k
+    return 0
+
+
 def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     """Whether x survives `depth` deletion rounds.
 
-    Follows only the component containing x, so the cost is linear in the
-    depth rather than the stage size. The descent stays on the family grid
-    in integers: with x = p/q and the component [a, b] over den, x lies in
-    it when a*q <= p*den <= b*q. Points outside [0, 1] are simply not
-    members.
+    Follows only the component containing x (`_removed_at`), so the cost is
+    linear in the depth rather than the stage size. Points outside [0, 1]
+    are simply not members.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     x = _as_fraction(x)
-    q, u = x.denominator, x.numerator
-    if not 0 <= u <= q:
+    if not 0 <= x.numerator <= x.denominator:
         return False
-    factor, rule = _child_rule(spec)
-    lo, hi, c = 0, 1, 1
-    for _ in range(depth):
-        if lo == hi:
-            return True
-        children, stalled = rule(c, lo, hi)
-        u *= factor
-        c *= 2
-        for a, b in children:
-            if a * q <= u <= b * q:
-                lo, hi = a, b
-                break
-        else:
-            return False
-        if stalled:
-            return True
-    return True
+    return not _removed_at(spec, x, depth)
 
 
 @dataclass(frozen=True)
@@ -487,12 +491,12 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
                      depth_cap: int = DEFAULT_DEPTH_CAP) -> MembershipVerdict:
     """Decide membership of x in the limit set, without enumerating stages.
 
-    Membership is existential over expansions: a point that lands exactly
-    on a kept/removed boundary is an endpoint of some stage component and
-    endpoints are never removed, so boundary hits resolve immediately as
-    members rather than forking the search. Between boundary hits the
-    relative-position map is deterministic; a revisited position proves a
-    cycle, a position strictly inside a removed span proves exclusion.
+    Every walk keeps one rule: an endpoint is never removed. Each round
+    starts by asking whether x is an endpoint of its component (position 0
+    or 1), and so does the cap, at cap 0 too; such an x is a member from
+    that stage on. Otherwise the relative-position map is deterministic; a
+    revisited position proves a cycle, a position strictly inside a removed
+    span proves exclusion.
 
     The position p/q is kept in lowest-terms integers over the kept-run
     table: with u = d * p, a run [a, b) of width w holding u / q maps it to
@@ -522,13 +526,12 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
         raise ValidationError("depth cap must be nonnegative")
     if isinstance(spec, Power):
         return _power_membership(spec, x, depth_cap)
-    if depth_cap and (p == 0 or p == q):
-        # Later positions reach 0 or 1 only at a boundary hit, caught below.
-        return MemberByEndpoint(0)
     d, runs = _walk_table(spec)
     dq = gcd(d, q)
     seen: dict[tuple[int, int], int] = {}
     for depth in range(depth_cap):
+        if p == 0 or p == q:
+            return MemberByEndpoint(depth)
         if seen and (p, q) in seen:
             return MemberByCycle(depth - seen[p, q])
         u = d * p
@@ -541,10 +544,6 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
         r, wq = u - aq, w * q
         if r > wq:
             return ExcludedAtDepth(depth + 1)
-        if r == 0 or r == wq:
-            # 0 < d * p < d * q, so the neighbouring part is removed and
-            # x is an endpoint of the next stage.
-            return MemberByEndpoint(depth + 1)
         g = gcd(r, w * dq)
         if g % w_c:
             seen.clear()
@@ -556,4 +555,6 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
         else:
             p, q = r // g, wq // g
         dq = 1 if m == 1 else gcd(m, q)
+    if p == 0 or p == q:
+        return MemberByEndpoint(depth_cap)
     return UndecidedMemberToDepth(depth_cap)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import ValidationError, _cut
 
 Rational = Fraction
 
@@ -50,7 +50,7 @@ class ClosedInterval:
             object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValidationError(
-                f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+                f"interval endpoints out of order: [{_cut(self.lo)}, {_cut(self.hi)}]")
 
     @property
     def length(self) -> Fraction:
@@ -82,7 +82,7 @@ class IntervalUnion:
             if not prev.hi < cur.lo:
                 raise ValidationError(
                     "intervals overlap, touch, or are out of order: "
-                    f"[{prev.lo}, {prev.hi}] before [{cur.lo}, {cur.hi}]")
+                    f"[{_cut(prev.lo)}, {_cut(prev.hi)}] before [{_cut(cur.lo)}, {_cut(cur.hi)}]")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "IntervalUnion":

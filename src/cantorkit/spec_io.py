@@ -151,7 +151,7 @@ def parse_spec(text: str) -> ConstructionSpec:
                 raise _too_many_digits("svc preset", tail) from None
             raise ParseError(f"svc preset needs an integer base, got {_echo(tail)}") from None
         return Power(m)
-    if body.startswith("{"):
+    if body.startswith(("{", "[")):
         return _parse_document(body)
     raise ParseError(
         f"unknown preset {_echo(body)}; expected one of {sorted(PRESETS)}, "

@@ -8,12 +8,16 @@ for the family).
 
 `_own_stages` builds any stage in `Fraction`s straight from the family
 definitions, without the package's deletion rule, so the package's
-integer-grid kernel can be tested against it. `_power_membership` is the
+integer-grid kernel can be tested against it. `_stage_membership` is the
+stage descent in absolute coordinates, with its own exits for a point
+component and a stalling round, the reference for the package's descent
+in x's offset and its component's length. `_power_membership` is the
 power family's limit-membership walk in `Fraction`s, the reference for the
 package's integer walk. `_self_similar_membership` is the proportional and
 subdivision walk with a table of every state it has seen, the reference
 for the package's walk, which clears its table once no earlier state can
-come back.
+come back. Both limit walks answer x = 0 or 1 as an endpoint, at cap 0
+too.
 
 `_transition_graph`, `_predecessors`, `_dead_ends` and `_greedy_digits`
 are the digit automaton as four passes: build every reachable state, peel
@@ -41,7 +45,7 @@ from cantorkit import (
     Subdivision,
     UndecidedMemberToDepth,
 )
-from cantorkit.constructions import _kept_grid
+from cantorkit.constructions import _child_rule, _kept_grid
 
 
 def table(pairs) -> IntervalUnion:
@@ -147,6 +151,35 @@ def _own_stages(spec, depth):
     return out
 
 
+def _stage_membership(spec, x: Fraction, depth: int) -> bool:
+    """Whether x survives `depth` rounds, by a descent in absolute coordinates.
+
+    The component [lo, hi] over den stays on the family grid, and x = u/q
+    lies in it when lo*q <= u*den <= hi*q. The descent stops at a point
+    component and after a stalling round.
+    """
+    q, u = x.denominator, x.numerator
+    if not 0 <= u <= q:
+        return False
+    factor, rule = _child_rule(spec)
+    lo, hi, c = 0, 1, 1
+    for _ in range(depth):
+        if lo == hi:
+            return True
+        children, stalled = rule(c, lo, hi)
+        u *= factor
+        c *= 2
+        for a, b in children:
+            if a * q <= u <= b * q:
+                lo, hi = a, b
+                break
+        else:
+            return False
+        if stalled:
+            return True
+    return True
+
+
 def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVerdict:
     """Component descent; the power family is not scale invariant.
 
@@ -203,6 +236,8 @@ def _self_similar_membership(spec: Proportional | Subdivision, x: Fraction,
         p, w = u - a * q, b - a
         g = gcd(p, w * gcd(d, q))
         p, q = p // g, w * q // g
+    if p == 0 or p == q:
+        return MemberByEndpoint(depth_cap)
     return UndecidedMemberToDepth(depth_cap)
 
 

@@ -19,6 +19,7 @@ from cantorkit import (
     PRESETS,
     Power,
     Subdivision,
+    ValidationError,
     allowed_expansion,
     cantor_function,
     characterization_equivalence_check,
@@ -74,7 +75,6 @@ class TestStageMeasure:
             assert stage_measure(spec, n) == union_measure(stage.intervals)
 
     def test_negative_index_rejected(self):
-        from cantorkit import ValidationError
         with pytest.raises(ValidationError):
             stage_measure(Power(4), -1)
 
@@ -140,6 +140,11 @@ class TestMaxComponentLength:
         assert max_component_length(Power(2), 2) == 0
         assert max_component_length(Power(2), 50) == 0
 
+    def test_negative_index_rejected(self):
+        for spec in (parse_spec("cantor"), Power(4)):
+            with pytest.raises(ValidationError, match="^stage index must be nonnegative$"):
+                max_component_length(spec, -1)
+
 
 class TestDigitExpansions:
     def test_from_rational_basics(self):
@@ -156,6 +161,19 @@ class TestDigitExpansions:
         e = DigitExpansion.from_rational(Fraction(1), 3)
         assert e.preperiod == () and e.period == (2,)
         assert e.value == 1
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ExpansionSpec(3, frozenset()), "at least one digit must be allowed"),
+        (lambda: ExpansionSpec(3, frozenset({0, 1, 2})), "at least one digit must be forbidden"),
+        (lambda: DigitExpansion(1, (), (0,)), "expansion base must be an integer >= 2, got 1"),
+        (lambda: DigitExpansion(3, (1,), ()), "period must be nonempty"),
+        (lambda: DigitExpansion.from_rational(Fraction(1, 2), 1),
+         "expansion base must be an integer >= 2, got 1"),
+    ], ids=["no-digit", "every-digit", "base-1", "empty-period", "from-rational-base-1"])
+    def test_invalid_expansions_are_refused(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
 
     @settings(max_examples=150, deadline=None)
     @given(st.fractions(min_value=0, max_value=1, max_denominator=2000),
@@ -284,15 +302,15 @@ def _value_or_error(f, x):
 @example((CANTOR_TERNARY, Fraction(1, 2)))
 @example((CANTOR_TERNARY, Fraction(1, 6)))
 @example((CANTOR_TERNARY, Fraction(5, 12)))
-# 1/2 is dead, and so are both its successors 1 and 0: its longest run is 1.
+# 1/2 is dead, and so are both its successors 1 and 0.
 @example((ExpansionSpec(4, frozenset({1, 2})), Fraction(1, 2)))
 def test_digit_search_matches_the_four_pass_automaton(query):
     es, x = query
-    member, run, longest = reference_digits(es, x)
+    member, run, _ = reference_digits(es, x)
     assert expansion_membership(es, x) == member
     e = allowed_expansion(es, x)
     assert (None if e is None else (list(e.preperiod), list(e.period))) == run
-    assert _digit_search(es, x) == (run if member else longest)
+    assert _digit_search(es, x) == run
     assert _value_or_error(cantor_function, x) == _value_or_error(reference_cantor_function, x)
 
 
@@ -350,6 +368,10 @@ def _expansion_prefix_covers(es, x, depth):
 
 
 class TestEquivalenceCheck:
+    def test_depth_zero_refused(self):
+        with pytest.raises(ValidationError, match="^comparison depth must be at least 1$"):
+            characterization_equivalence_check(parse_spec("cantor"), CANTOR_TERNARY, 0)
+
     def test_true_characterization_passes(self):
         verdict = characterization_equivalence_check(
             parse_spec("cantor"), ExpansionSpec(3, frozenset({0, 2})), depth=5)
@@ -483,6 +505,9 @@ class TestSimilarityDimension:
     def test_middle_halves_dimension_is_exactly_half(self):
         d = similarity_dimension(parse_spec("c12"))
         assert abs(d - 0.5) < 1e-10
+
+    def test_single_kept_run_has_dimension_zero(self):
+        assert similarity_dimension(Subdivision(3, frozenset({0, 1}))) == 0.0
 
     def test_golden_ratio_dimension(self):
         d = similarity_dimension(parse_spec("ac"))

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from cantorkit import (
     CANTOR_TERNARY,
     CantorKitError,
+    ClosedInterval,
     DigitExpansion,
     DomainError,
     ExpansionSpec,
+    IntervalUnion,
     ParseError,
     Power,
     Proportional,
@@ -150,6 +152,13 @@ class TestParseSpec:
         for doc in bad_docs:
             with pytest.raises(ParseError):
                 parse_spec(doc)
+
+    def test_a_document_that_is_not_an_object(self):
+        for doc in ("[1]", " [1, 2] ", "[]"):
+            with pytest.raises(ParseError, match="^spec document must be a JSON object$"):
+                parse_spec(doc)
+        message = assert_error_line(run_main(["construct", "--spec", "[1]"]), "parse")
+        assert message == "spec document must be a JSON object"
 
     def test_document_validation_still_applies(self):
         with pytest.raises(ValidationError):
@@ -741,9 +750,12 @@ class TestEchoedValues:
         (lambda: cantor_function(Fraction(BIG // 2 + 1, BIG)), DomainError),
         (lambda: RenderConfig(width_px=-BIG), ValidationError),
         (lambda: Power([BIG]), ValidationError),
+        (lambda: ClosedInterval(BIG, 0), ValidationError),
+        (lambda: IntervalUnion((ClosedInterval(0, BIG), ClosedInterval(1, 2))), ValidationError),
     ], ids=["proportion", "power-base", "part-count", "removed-index", "expansion-digit",
             "expansion-base", "period-digit", "from-rational", "limit-membership",
-            "expansion-membership", "cantor-function", "render-width", "power-base-list"])
+            "expansion-membership", "cantor-function", "render-width", "power-base-list",
+            "interval", "union"])
     def test_a_library_call_with_a_number_too_long_to_write_raises_its_error(self, call, error):
         # The CLI refuses such numbers while parsing; a library caller can pass them.
         with pytest.raises(error) as exc:
@@ -751,6 +763,23 @@ class TestEchoedValues:
         message = str(exc.value)
         assert len(message.encode()) < 512 and "0" * 50 not in message
         assert re.search(r"<\d+-digit integer>|<list too long to write>", message)
+
+    def test_a_long_interval_endpoint_is_echoed_in_part(self):
+        long = 3 ** 4000  # 1,909 digits, under the int-string limit
+        for call in (lambda: ClosedInterval(long, 0),
+                     lambda: IntervalUnion((ClosedInterval(0, long), ClosedInterval(1, 2)))):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            message = str(exc.value)
+            assert len(message.encode()) < 512 and "... (1909 characters)" in message
+        # Short endpoints are written whole, as before.
+        with pytest.raises(ValidationError) as exc:
+            ClosedInterval(Fraction(1, 2), 0)
+        assert str(exc.value) == "interval endpoints out of order: [1/2, 0]"
+        with pytest.raises(ValidationError) as exc:
+            IntervalUnion((ClosedInterval(0, 1), ClosedInterval(Fraction(1, 2), 2)))
+        assert str(exc.value) == ("intervals overlap, touch, or are out of order: "
+                                  "[0, 1] before [1/2, 2]")
 
     def test_an_ambiguous_option_is_echoed_in_part(self):
         message = assert_error_line(run_main(["construct", "--spec", "cantor",

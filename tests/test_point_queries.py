@@ -1,7 +1,9 @@
 """The point queries: the self-similar limit walk against the walk that keeps
-every state it has seen, the walk's memory, the tables read once per spec,
-and the input types that all five queries accept."""
+every state it has seen, the stage descent against the descent in absolute
+coordinates, the one endpoint rule, the walk's memory, the tables read once
+per spec, and the input types that all five queries accept."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -15,20 +17,24 @@ from cantorkit import (
     PRESETS,
     DomainError,
     MemberByCycle,
+    MemberByEndpoint,
     Power,
     Proportional,
     Subdivision,
     UndecidedMemberToDepth,
+    ValidationError,
     allowed_expansion,
     cantor_function,
     expansion_membership,
     limit_membership,
+    parse_spec,
     stage_membership,
 )
 from cantorkit.constructions import _kept_grid, _walk_table
 from reference_stages import (
     _own_stages,
     _self_similar_membership,
+    _stage_membership,
     reference_cantor_function,
     reference_digits,
 )
@@ -61,6 +67,52 @@ def test_walk_matches_the_reference_on_every_small_rational(name):
     for x in _rationals(60):
         for cap in CAPS:
             _agree(spec, x, cap)
+
+
+def _stage_specs():
+    """Every preset, svc:2..7, and seeded proportional specs whose child ratio
+    has a numerator above 1 and subdivisions with edge removals and wide runs."""
+    specs = {name: parse_spec(name) for name in PRESETS}
+    specs.update((f"svc:{m}", Power(m)) for m in range(2, 8))
+    rng = random.Random(6014)
+    while len(specs) < 18:
+        s = rng.randint(5, 10 ** 6)
+        spec = Proportional(1 - Fraction(2 * rng.randint(2, (s - 1) // 2), s))
+        if spec.child_ratio.numerator > 1:
+            specs[f"proportional {spec.p}"] = spec
+    for n in (7, 60):
+        removed = {0, n - 1, rng.randrange(1, n - 1)}
+        specs[f"subdivision {n}"] = Subdivision(n, frozenset(removed))
+    return specs
+
+
+STAGE_SPECS = _stage_specs()
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SPECS))
+def test_stage_descent_matches_the_absolute_descent(name):
+    spec = STAGE_SPECS[name]
+    # Every x with q <= 60 in [0, 1], and just outside it.
+    for x in sorted({Fraction(p, q) for q in range(1, 61) for p in range(-1, q + 2)}):
+        for depth in range(41):
+            assert stage_membership(spec, x, depth) == _stage_membership(spec, x, depth), (
+                spec, x, depth)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + [f"svc:{m}" for m in range(2, 6)])
+def test_zero_and_one_are_endpoints_at_every_cap(name):
+    spec = parse_spec(name)
+    for x in (Fraction(0), Fraction(1)):
+        for cap in (0, 1, 2, 100):
+            assert limit_membership(spec, x, cap) == MemberByEndpoint(0), (name, x, cap)
+
+
+def test_a_negative_depth_or_cap_is_refused():
+    for spec in (PRESETS["cantor"], PRESETS["ac"], Power(4)):
+        with pytest.raises(ValidationError, match="^depth must be nonnegative$"):
+            stage_membership(spec, Fraction(1, 3), -1)
+        with pytest.raises(ValidationError, match="^depth cap must be nonnegative$"):
+            limit_membership(spec, Fraction(1, 3), -1)
 
 
 points = st.integers(1, 10 ** 4).flatmap(
