@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import ValidationError, _cut
+from .errors import ValidationError, _cut, _written
 
 Rational = Fraction
 
@@ -64,6 +64,11 @@ class ClosedInterval:
         return self.lo <= x <= self.hi
 
 
+def _cut_interval(iv: ClosedInterval) -> str:
+    """[lo, hi] cut as one value, so a message naming two intervals stays under 512 bytes."""
+    return _cut(f"[{_written(iv.lo, str)}, {_written(iv.hi, str)}]")
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Strictly increasing, pairwise separated closed intervals.
@@ -82,7 +87,7 @@ class IntervalUnion:
             if not prev.hi < cur.lo:
                 raise ValidationError(
                     "intervals overlap, touch, or are out of order: "
-                    f"[{_cut(prev.lo)}, {_cut(prev.hi)}] before [{_cut(cur.lo)}, {_cut(cur.hi)}]")
+                    f"{_cut_interval(prev)} before {_cut_interval(cur)}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "IntervalUnion":

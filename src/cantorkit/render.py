@@ -5,13 +5,20 @@ family's integer grid are converted to whole pixels with round-half-up
 integer arithmetic, (2*a*inner + den) // (2*den), so equal inputs always
 produce byte-identical documents. Degenerate point components appear as
 marks one pixel wide.
+
+A component whose two endpoints round to the same pixel P paints exactly
+P in every later row, since its descendants lie inside it and rounding is
+monotone; it rides on as the point (a, a), which paints P too, and a point
+on the same pixel as the point before it is dropped. A row so holds at
+most inner + 1 components that still split and inner + 1 points: a
+document costs O(rows * width), not branch**depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import ConstructionSpec, _grid_stages
+from .constructions import ConstructionSpec, _check_depth, _child_rule, _round
 from .errors import ValidationError, _cut
 
 _PAD = 10
@@ -38,7 +45,8 @@ class RenderConfig:
 
 
 def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> str:
-    stages = _grid_stages(spec, cfg.depth)
+    _check_depth(spec, cfg.depth)
+    factor, rule = _child_rule(spec)
     gutter = _GUTTER if cfg.label else 0
     inner = cfg.width_px - gutter - 2 * _PAD
     left = gutter + _PAD
@@ -53,14 +61,26 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
         '<g fill="#1f2430">',
     ]
     stalls = []
-    for row, (den, pairs, stalled) in enumerate(stages):
+    den, pairs, stalled, c = 1, [(0, 1)], False, 1
+    for row in range(cfg.depth + 1):
+        if row and not stalled:
+            pairs, stalled = _round(factor, rule, c, pairs, den)
+            den, c = den * factor, 2 * c
         y = _PAD + row * cfg.row_height_px
         scale, twice = 2 * inner, 2 * den
+        kept, point_at = [], None
         for a, b in pairs:
             x0 = left + (scale * a + den) // twice
             x1 = left + (scale * b + den) // twice
+            if x0 == x1:
+                # Every descendant paints this pixel alone: ride on as a point.
+                if x0 == point_at:
+                    continue
+                point_at, b = x0, a
+            kept.append((a, b))
             w = max(1, x1 - x0)
             lines.append(f'<rect x="{x0}" y="{y}" width="{w}" height="{bar_h}"/>')
+        pairs = kept
         stalls.append(stalled)
     lines.append('</g>')
     if cfg.label:

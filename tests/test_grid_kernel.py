@@ -10,6 +10,8 @@ package's deletion rule.
 import copy
 import json
 import pickle
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -40,7 +42,7 @@ from cantorkit import (
     render_svg,
     union_normalize,
 )
-from cantorkit import analysis, constructions
+from cantorkit import analysis, constructions, render
 from cantorkit.cli import cmd_analyze, cmd_construct
 from cantorkit.spec_io import PRESETS
 from reference_stages import _own_round, _own_stages, specs_with_depth
@@ -107,14 +109,61 @@ def _own_svg(spec, depth, width, row_height, label):
     return "\n".join(lines) + "\n"
 
 
+_FILL = re.compile(r'<g fill="#1f2430">\n(.*?)</g>\n', re.S)
+_RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="\d+"/>')
+
+
+def _fill_rects(svg):
+    """(x0, x1, y) of each rect in the fill group, and the document without them."""
+    fill = _FILL.search(svg)
+    rects = [(int(x), int(x) + int(w), int(y)) for x, y, w in _RECT.findall(fill.group(1))]
+    return rects, svg[:fill.start(1)] + svg[fill.end(1):]
+
+
+def _painted(svg):
+    """Each row's painted pixels as merged spans [x0, x1), and the rest of the document."""
+    rects, rest = _fill_rects(svg)
+    rows = {}
+    for x0, x1, y in sorted(rects, key=lambda r: (r[2], r[0])):
+        row = rows.setdefault(y, [])
+        if row and x0 <= row[-1][1]:
+            row[-1] = (row[-1][0], max(row[-1][1], x1))
+        else:
+            row.append((x0, x1))
+    return rows, rest
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS) + [f"svc:{m}" for m in range(2, 7)])
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, 6), st.integers(100, 1200), st.integers(8, 40), st.booleans())
+@given(st.integers(0, 10), st.integers(100, 1200), st.integers(8, 40), st.booleans())
 @example(6, 101, 9, True)
+@example(10, 100, 8, False)
 def test_render_matches_a_fraction_renderer(name, depth, width, row_height, label):
+    # A component below one pixel rides on as a point, so the rects differ
+    # from one per component; the pixels and every other byte do not.
     spec = parse_spec(name)
     cfg = RenderConfig(width_px=width, row_height_px=row_height, depth=depth, label=label)
-    assert render_svg(spec, cfg) == _own_svg(spec, depth, width, row_height, label)
+    assert _painted(render_svg(spec, cfg)) == _painted(
+        _own_svg(spec, depth, width, row_height, label))
+
+
+@pytest.mark.parametrize("name", ["cantor", "ac", "svc:3"])
+def test_a_deep_render_is_bounded_by_its_width(name):
+    # 2**30 components at the last row; at most inner + 1 splitting
+    # components and inner + 1 points are drawn in any row.
+    svg = render_svg(parse_spec(name), RenderConfig(width_px=800, depth=30))
+    per_row = Counter(y for _, _, y in _fill_rects(svg)[0])
+    assert len(per_row) == 31
+    assert max(per_row.values()) <= 2 * 780 + 2
+
+
+def test_a_stall_still_labels_its_rows_at_the_narrowest_width():
+    # svc:2 stalls at round 2, whose two components are 11 px wide at
+    # width 100, so no collapsed component hides the stall.
+    spec = parse_spec("svc:2")
+    svg = render_svg(spec, RenderConfig(width_px=100, depth=6, label=True))
+    assert re.findall(r'<text x="10" y="\d+">(\d+)</text>', svg) == list("0122222")
+    assert _painted(svg) == _painted(_own_svg(spec, 6, 100, 24, True))
 
 
 def _digit_prefix_union(es, depth):
@@ -277,8 +326,8 @@ def test_stage_paths_build_no_intervals(monkeypatch):
     lambda a, b: [(3 * a + (b - a), 3 * a)],
 ], ids=["overlap", "touch", "reversed"])
 def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
-    # The analysis census holds its own reference to the rule.
-    for module in (constructions, analysis):
+    # The analysis census and the renderer hold their own references to the rule.
+    for module in (constructions, analysis, render):
         monkeypatch.setattr(module, "_child_rule",
                             lambda spec: (3, lambda c, a, b: (children(a, b), False)))
     for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
