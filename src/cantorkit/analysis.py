@@ -18,54 +18,53 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .constructions import (
-    MAX_ENUMERATED_INTERVALS,
+    MAX_BUILT_INTERVALS,
     ConstructionSpec,
     Power,
     Proportional,
     Stage,
     Subdivision,
-    _child_rule,
+    _at_least,
     _grid_stages,
     _kept_grid,
     _power_over,
     _removed_at,
     _round,
+    _rounds,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import _as_fraction, _is_int
 
 
-def _length_census(spec: ConstructionSpec, n: int) -> Iterator[tuple[int, Counter, bool]]:
-    """Stages 0..n as `(den, integer component lengths with multiplicities, stalled)`.
+def _census_round(factor: int, rule: Callable, c: int, census: Counter,
+                  den: int) -> tuple[Counter, bool]:
+    """One round on integer component lengths over den, with multiplicities.
 
     Every family's round is translation invariant, so the children of a
     component depend only on its length: the round is applied once per
-    distinct integer length L over den, to [0, L], and the stage itself is
-    never built. A stalled stage repeats.
+    distinct length L, to [0, L], and the stage itself is never built.
     """
-    factor, rule = _child_rule(spec)
-    census = Counter({1: 1})
-    den, c, stalled = 1, 1, False
-    yield den, census, stalled
-    for _ in range(n):
-        if not stalled:
-            nxt: Counter = Counter()
-            for length, count in census.items():
-                children, stop = _round(factor, rule, c, [(0, length)], den)
-                stalled = stalled or stop
-                for a, b in children:
-                    nxt[b - a] += count
-            census, den, c = nxt, den * factor, 2 * c
-        yield den, census, stalled
+    nxt: Counter = Counter()
+    stalled = False
+    for length, count in census.items():
+        children, stop = _round(factor, rule, c, [(0, length)], den)
+        stalled = stalled or stop
+        for a, b in children:
+            nxt[b - a] += count
+    return nxt, stalled
+
+
+def _length_census(spec: ConstructionSpec, n: int) -> Iterator[tuple[int, Counter, bool]]:
+    """Stages 0..n as `(den, integer component lengths with multiplicities, stalled)`."""
+    return _rounds(spec, n, Counter({1: 1}), _census_round)
 
 
 def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
     """Exact total length after n rounds, by closed recursion."""
-    if n < 0:
-        raise ValidationError("stage index must be nonnegative")
+    _at_least(n, "stage index")
     if isinstance(spec, Power):
         den, census, _ = deque(_length_census(spec, n), maxlen=1)[0]
         return Fraction(sum(length * count for length, count in census.items()), den)
@@ -101,8 +100,7 @@ def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     dominates; power components share one length tracked by the census
     recurrence.
     """
-    if n < 0:
-        raise ValidationError("stage index must be nonnegative")
+    _at_least(n, "stage index")
     if isinstance(spec, Power):
         den, census, _ = deque(_length_census(spec, n), maxlen=1)[0]
         return Fraction(max(census), den)
@@ -389,12 +387,11 @@ def characterization_equivalence_check(
     points whose first k digits can all be allowed, as merged runs over
     base**k, both lifted to the least common denominator.
     """
-    if depth < 1:
-        raise ValidationError("comparison depth must be at least 1")
-    if _power_over(len(es.allowed), depth, MAX_ENUMERATED_INTERVALS):
+    _at_least(depth, "comparison depth", 1)
+    if _power_over(len(es.allowed), depth, MAX_BUILT_INTERVALS):
         raise ResourceLimitError(
             f"digit enumeration would build up to {len(es.allowed)}**{depth} intervals, "
-            f"over the limit of {MAX_ENUMERATED_INTERVALS}")
+            f"over the limit of {MAX_BUILT_INTERVALS}")
     stages = _grid_stages(spec, depth)
     next(stages)  # stage 0, [0, 1]
     digits = sorted(es.allowed)

@@ -29,6 +29,7 @@ from .analysis import (
 )
 from .constructions import (
     DEFAULT_DEPTH_CAP,
+    MAX_ENUMERATED_INTERVALS,
     ConstructionSpec,
     ExcludedAtDepth,
     MemberByCycle,
@@ -76,7 +77,7 @@ def _characterization_doc(verdict) -> dict:
 
 def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     """Measure, characterization, census, and dimension report."""
-    _check_depth(spec, depth)
+    _check_depth(spec, depth, MAX_ENUMERATED_INTERVALS)
     measures, max_lengths = [], []
     for den, lengths, stalled in _length_census(spec, depth):
         measures.append((sum(length * count for length, count in lengths.items()), den))

@@ -16,11 +16,11 @@ every current component [a, b] of the unit interval:
 Every endpoint of stage k is an integer over one denominator: s**k for a
 proportional spec with child ratio r/s, n**k for a subdivision and
 (2m)**k for a power spec. One integer deletion rule per family
-(`_child_rule`), applied by one round (`_round`), builds the stages on
-that grid (`_grid_stages`), `next_stage` and the analysis census. The
-`Fraction`-valued `Stage`s are built only where an API returns them
-(`_stage`), one `Fraction` per distinct endpoint, shared by every stage
-that keeps it, and without checking again what `_round` has checked.
+(`_child_rule`), applied by one round (`_round`) in one loop (`_rounds`),
+builds the stages on that grid (`_grid_stages`) and `next_stage`; the
+census and the renderer give the loop their own step. Only an API that
+returns `Stage`s builds `Fraction`s (`_stage`): one per distinct endpoint,
+shared by every stage that keeps it, unchecked past what `_round` checks.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, so both families are
@@ -55,6 +55,9 @@ from .exact import (
 )
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
+# A built stage of 2**18 components fits: `construct cantor --depth 18`
+# peaks at 137 MiB, while depth 19 runs out of a 256 MiB address space.
+MAX_BUILT_INTERVALS = 2 ** 18
 DEFAULT_DEPTH_CAP = 10_000
 
 UNIT = ClosedInterval(Fraction(0), Fraction(1))
@@ -250,26 +253,27 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
     return children, stalled
 
 
-def _grid_stages(spec: ConstructionSpec, depth: int) -> Iterator[tuple]:
-    """Stages 0..depth as `(den, pairs, stalled)`: integer endpoint pairs over den.
+def _rounds(spec: ConstructionSpec, depth: int, state, step: Callable = _round) -> Iterator[tuple]:
+    """Rounds 0..depth as `(den, state, stalled)`, each taken when the caller asks.
 
-    Refused by `_check_depth` before any stage is built; after that each
-    stage is built only when the caller asks for it, so a caller that
-    stops early pays for no later round. A stalled stage repeats as the
-    same entry, so its den stays put.
+    `step(factor, rule, c, state, den) -> (state, stalled)` takes a state
+    over den to the next, over den * factor; `_round` is the step on pairs.
+    A stalled state repeats as the same entry, so its den stays put.
     """
-    _check_depth(spec, depth)
     factor, rule = _child_rule(spec)
+    den, c, stalled = 1, 1, False
+    yield den, state, stalled
+    for _ in range(depth):
+        if not stalled:
+            state, stalled = step(factor, rule, c, state, den)
+            den, c = den * factor, 2 * c
+        yield den, state, stalled
 
-    def stream():
-        den, pairs, stalled, c = 1, [(0, 1)], False, 1
-        yield den, pairs, stalled
-        for _ in range(depth):
-            if not stalled:
-                children, stalled = _round(factor, rule, c, pairs, den)
-                den, pairs, c = den * factor, children, 2 * c
-            yield den, pairs, stalled
-    return stream()
+
+def _grid_stages(spec: ConstructionSpec, depth: int) -> Iterator[tuple]:
+    """Stages 0..depth as `(den, pairs, stalled)`, refused before any round by `_check_depth`."""
+    _check_depth(spec, depth, MAX_BUILT_INTERVALS)
+    return _rounds(spec, depth, [(0, 1)])
 
 
 def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool,
@@ -332,19 +336,29 @@ def _power_over(branch: int, depth: int, limit: int) -> bool:
     return branch > 1 and depth > limit.bit_length() or branch ** depth > limit
 
 
-def _check_depth(spec: ConstructionSpec, depth: int) -> None:
-    """Refuse a negative depth, or one whose stage could pass `MAX_ENUMERATED_INTERVALS`.
+def _at_least(n: int, what: str, least: int = 0) -> None:
+    """Refuse n unless it is an int (a bool is not one) of at least `least`."""
+    if not _is_int(n):
+        raise ValidationError(f"{what} must be an integer, got {_echo(n)}")
+    if n < least:
+        raise ValidationError(
+            f"{what} must be " + (f"at least {least}" if least else "nonnegative"))
 
-    The bound branch**depth ignores stalling, so a stalling construction
-    past the limit is refused as well.
+
+def _check_depth(spec: ConstructionSpec, depth: int, limit: int) -> None:
+    """Refuse a depth that is not a nonnegative int, or one whose stage could pass `limit`.
+
+    A path that builds its stages passes `MAX_BUILT_INTERVALS`; `render` and
+    `analyze`, which keep a bounded reduction of each stage, pass
+    `MAX_ENUMERATED_INTERVALS`. The bound branch**depth ignores stalling, so
+    a stalling construction past the limit is refused as well.
     """
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _at_least(depth, "depth")
     branch = len(_child_rule(spec)[1](1, 0, 1)[0])
-    if _power_over(branch, depth, MAX_ENUMERATED_INTERVALS):
+    if _power_over(branch, depth, limit):
         raise ResourceLimitError(
             f"stage {depth} could hold up to {branch}**{depth} intervals, "
-            f"over the limit of {MAX_ENUMERATED_INTERVALS}")
+            f"over the limit of {limit}")
 
 
 def iterate(spec: ConstructionSpec, depth: int) -> list[Stage]:
@@ -392,8 +406,7 @@ def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     linear in the depth rather than the stage size. Points outside [0, 1]
     are simply not members.
     """
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _at_least(depth, "depth")
     x = _as_fraction(x)
     if not 0 <= x.numerator <= x.denominator:
         return False
@@ -522,8 +535,7 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
-    if depth_cap < 0:
-        raise ValidationError("depth cap must be nonnegative")
+    _at_least(depth_cap, "depth cap")
     if isinstance(spec, Power):
         return _power_membership(spec, x, depth_cap)
     d, runs = _walk_table(spec)

@@ -11,15 +11,25 @@ P in every later row, since its descendants lie inside it and rounding is
 monotone; it rides on as the point (a, a), which paints P too, and a point
 on the same pixel as the point before it is dropped. A row so holds at
 most inner + 1 components that still split and inner + 1 points: a
-document costs O(rows * width), not branch**depth.
+document costs O(rows * width), not branch**depth. Each row is one entry
+of the round loop (`_rounds`), whose step is the round and then that
+collapse; each kept pair carries its pixels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import ConstructionSpec, _check_depth, _child_rule, _round
-from .errors import ValidationError, _cut
+from .constructions import (
+    MAX_ENUMERATED_INTERVALS,
+    ConstructionSpec,
+    _at_least,
+    _check_depth,
+    _round,
+    _rounds,
+)
+from .errors import ValidationError, _cut, _echo
+from .exact import _is_int
 
 _PAD = 10
 _GUTTER = 36
@@ -34,41 +44,32 @@ class RenderConfig:
     label: bool = False
 
     def __post_init__(self) -> None:
+        for what, n in (("render width", self.width_px), ("row height", self.row_height_px)):
+            if not _is_int(n):
+                raise ValidationError(f"{what} must be an integer, got {_echo(n)}")
         if self.width_px < 100:
             raise ValidationError(
                 f"render width must be at least 100 px, got {_cut(self.width_px)}")
         if self.row_height_px < 8:
             raise ValidationError(
                 f"row height must be at least 8 px, got {_cut(self.row_height_px)}")
-        if self.depth < 0:
-            raise ValidationError("render depth must be nonnegative")
+        _at_least(self.depth, "render depth")
 
 
 def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> str:
-    _check_depth(spec, cfg.depth)
-    factor, rule = _child_rule(spec)
+    _check_depth(spec, cfg.depth, MAX_ENUMERATED_INTERVALS)
     gutter = _GUTTER if cfg.label else 0
     inner = cfg.width_px - gutter - 2 * _PAD
     left = gutter + _PAD
     height = 2 * _PAD + (cfg.depth + 1) * cfg.row_height_px
     bar_h = max(1, cfg.row_height_px - _BAR_GAP)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{cfg.width_px}" height="{height}" '
-        f'viewBox="0 0 {cfg.width_px} {height}">',
-        f'<rect width="{cfg.width_px}" height="{height}" fill="#ffffff"/>',
-        '<g fill="#1f2430">',
-    ]
-    stalls = []
-    den, pairs, stalled, c = 1, [(0, 1)], False, 1
-    for row in range(cfg.depth + 1):
-        if row and not stalled:
-            pairs, stalled = _round(factor, rule, c, pairs, den)
-            den, c = den * factor, 2 * c
-        y = _PAD + row * cfg.row_height_px
-        scale, twice = 2 * inner, 2 * den
-        kept, point_at = [], None
+    scale = 2 * inner
+
+    def step(factor, rule, c, state, den):
+        # The round, then the collapse: each pair kept with its (x, width).
+        pairs, stalled = _round(factor, rule, c, state[0], den)
+        den, twice = den * factor, 2 * den * factor
+        kept, spans, point_at = [], [], None
         for a, b in pairs:
             x0 = left + (scale * a + den) // twice
             x1 = left + (scale * b + den) // twice
@@ -78,20 +79,29 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
                     continue
                 point_at, b = x0, a
             kept.append((a, b))
-            w = max(1, x1 - x0)
-            lines.append(f'<rect x="{x0}" y="{y}" width="{w}" height="{bar_h}"/>')
-        pairs = kept
-        stalls.append(stalled)
+            spans.append((x0, max(1, x1 - x0)))
+        return (kept, spans), stalled
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{cfg.width_px}" height="{height}" '
+        f'viewBox="0 0 {cfg.width_px} {height}">',
+        f'<rect width="{cfg.width_px}" height="{height}" fill="#ffffff"/>',
+        '<g fill="#1f2430">',
+    ]
+    labels, index = [], 0
+    # Row 0 is [0, 1], which spans the inner width.
+    rows = _rounds(spec, cfg.depth, ([(0, 1)], [(left, inner)]), step)
+    for row, (_, (_, spans), stalled) in enumerate(rows):
+        y = _PAD + row * cfg.row_height_px
+        lines += [f'<rect x="{x}" y="{y}" width="{w}" height="{bar_h}"/>' for x, w in spans]
+        if cfg.label:
+            labels.append(f'<text x="{_PAD}" y="{y + bar_h - 1}">{index}</text>')
+        # A stalled stage repeats, index and all.
+        index += not stalled
     lines.append('</g>')
     if cfg.label:
-        lines.append('<g font-family="monospace" font-size="12" fill="#555555">')
-        index = 0
-        for row, stalled in enumerate(stalls):
-            # A stalled stage repeats, index and all.
-            y = _PAD + row * cfg.row_height_px + bar_h - 1
-            lines.append(f'<text x="{_PAD}" y="{y}">{index}</text>')
-            if not stalled:
-                index += 1
-        lines.append('</g>')
+        lines += ['<g font-family="monospace" font-size="12" fill="#555555">', *labels, '</g>']
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

@@ -7,28 +7,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
+    CANTOR_TERNARY,
+    MAX_ENUMERATED_INTERVALS,
     ExcludedAtDepth,
+    ExpansionSpec,
     IntervalUnion,
     MemberByCycle,
     MemberByEndpoint,
     Power,
     Proportional,
+    RenderConfig,
     ResourceLimitError,
     Run,
     Subdivision,
     UndecidedMemberToDepth,
     ValidationError,
+    characterization_equivalence_check,
     initial_stage,
     iterate,
     kept_runs,
     limit_membership,
+    max_component_length,
     next_stage,
     parse_spec,
+    render_svg,
+    stage_measure,
     stage_membership,
     union_measure,
     verdict_is_member,
 )
-from cantorkit.constructions import _check_depth
+from cantorkit.cli import cmd_analyze, cmd_construct
+from cantorkit.constructions import MAX_BUILT_INTERVALS, _check_depth
 from reference_stages import (
     EXPECTED_STAGES,
     _own_stages,
@@ -166,11 +175,22 @@ class TestIterate:
 
     def test_resource_limit_upfront(self):
         cantor = parse_spec("cantor")
-        with pytest.raises(ResourceLimitError):
-            iterate(cantor, 31)
-        # 2**30 intervals is exactly the limit; the check passes without
-        # building a stage.
-        assert _check_depth(cantor, 30) is None
+        message = "^stage 19 could hold up to 2\\*\\*19 intervals, over the limit of 262144$"
+        one_digit = ExpansionSpec(3, frozenset({0}))
+        for build in (lambda: iterate(cantor, 19), lambda: cmd_construct(cantor, 19),
+                      lambda: characterization_equivalence_check(cantor, one_digit, 19)):
+            with pytest.raises(ResourceLimitError, match=message):
+                build()
+        with pytest.raises(ResourceLimitError, match="^digit enumeration would build up to "
+                           "2\\*\\*19 intervals, over the limit of 262144$"):
+            characterization_equivalence_check(cantor, CANTOR_TERNARY, 19)
+        # 2**18 intervals is exactly the limit of a built stage; the check
+        # passes without building one.
+        assert _check_depth(cantor, 18, MAX_BUILT_INTERVALS) is None
+        # analyze keeps no stage, so it keeps the enumeration limit (render at
+        # depth 30 and analyze at 31 are checked in test_grid_kernel and test_cli).
+        assert _check_depth(cantor, 30, MAX_ENUMERATED_INTERVALS) is None
+        assert "scale census at depth 30: 1/205891132094649 x1073741824" in cmd_analyze(cantor, 30)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValidationError):
@@ -471,3 +491,33 @@ def test_power_removal_never_outgrows_the_component():
                 assert (m, k) == (2, 2)
                 break
             length = (length - removal) / 2
+
+
+CANTOR = Proportional(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: iterate(CANTOR, 2.5), "depth must be an integer, got 2.5"),
+    (lambda: iterate(CANTOR, "3"), "depth must be an integer, got '3'"),
+    (lambda: iterate(CANTOR, True), "depth must be an integer, got True"),
+    (lambda: cmd_construct(CANTOR, 2.5), "depth must be an integer, got 2.5"),
+    (lambda: cmd_analyze(CANTOR, 2.5), "depth must be an integer, got 2.5"),
+    (lambda: render_svg(CANTOR, RenderConfig(depth=2.5)),
+     "render depth must be an integer, got 2.5"),
+    (lambda: RenderConfig(width_px=100.5), "render width must be an integer, got 100.5"),
+    (lambda: RenderConfig(row_height_px=8.5), "row height must be an integer, got 8.5"),
+    (lambda: characterization_equivalence_check(CANTOR, CANTOR_TERNARY, 2.5),
+     "comparison depth must be an integer, got 2.5"),
+    (lambda: stage_membership(CANTOR, Fraction(1, 4), 2.5), "depth must be an integer, got 2.5"),
+    (lambda: limit_membership(CANTOR, Fraction(1, 4), 2.5),
+     "depth cap must be an integer, got 2.5"),
+    (lambda: stage_measure(CANTOR, 2.5), "stage index must be an integer, got 2.5"),
+    (lambda: max_component_length(CANTOR, Fraction(5, 2)),
+     "stage index must be an integer, got Fraction(5, 2)"),
+])
+def test_a_count_that_is_not_an_int_is_refused(call, message):
+    # A float, a string or a bool used to give a float, a fractional pixel,
+    # a bare TypeError or, for True, depth 1.
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message

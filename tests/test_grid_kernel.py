@@ -42,7 +42,7 @@ from cantorkit import (
     render_svg,
     union_normalize,
 )
-from cantorkit import analysis, constructions, render
+from cantorkit import constructions
 from cantorkit.cli import cmd_analyze, cmd_construct
 from cantorkit.spec_io import PRESETS
 from reference_stages import _own_round, _own_stages, specs_with_depth
@@ -326,10 +326,9 @@ def test_stage_paths_build_no_intervals(monkeypatch):
     lambda a, b: [(3 * a + (b - a), 3 * a)],
 ], ids=["overlap", "touch", "reversed"])
 def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
-    # The analysis census and the renderer hold their own references to the rule.
-    for module in (constructions, analysis, render):
-        monkeypatch.setattr(module, "_child_rule",
-                            lambda spec: (3, lambda c, a, b: (children(a, b), False)))
+    # Only the constructions module reads the rule; every other path steps through it.
+    monkeypatch.setattr(constructions, "_child_rule",
+                        lambda spec: (3, lambda c, a, b: (children(a, b), False)))
     for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
                   lambda s: render_svg(s, RenderConfig(depth=2)),
                   lambda s: next_stage(s, initial_stage()), lambda s: cmd_analyze(s, 2)):
