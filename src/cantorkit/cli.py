@@ -3,7 +3,7 @@
 Results go to stdout (or --out); errors go to stderr as a single JSON
 line carrying the error kind's code, and the exit status is the kind's
 (see `errors`): 0 success, 2 parse or validation failure, 3 domain error,
-4 resource refusal.
+4 resource refusal, running out of memory included.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .constructions import (
     stage_membership,
     verdict_is_member,
 )
-from .errors import CantorKitError, ParseError, _cut, _echo, _fits
+from .errors import CantorKitError, ParseError, ResourceLimitError, _cut, _echo, _fits
 from .render import RenderConfig, render_svg
 from .spec_io import _ratio_str, _spec_doc, emit_spec, fraction_str, parse_fraction, parse_spec
 
@@ -283,7 +283,10 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _emit(args.run(args), args.out)
+        try:
+            _emit(args.run(args), args.out)
+        except MemoryError:
+            raise ResourceLimitError(f"{args.command} ran out of memory") from None
     except CantorKitError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return exc.status

@@ -20,7 +20,8 @@ proportional spec with child ratio r/s, n**k for a subdivision and
 builds the stages on that grid (`_grid_stages`) and `next_stage`; the
 census and the renderer give the loop their own step. Only an API that
 returns `Stage`s builds `Fraction`s (`_stage`): one per distinct endpoint,
-shared by every stage that keeps it, unchecked past what `_round` checks.
+set in place in lowest terms from one gcd, shared by every stage that keeps
+it, and checked no further than `_round` checks.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, so both families are
@@ -50,7 +51,8 @@ from .exact import (
     IntervalUnion,
     _as_fraction,
     _is_int,
-    _trusted_interval,
+    _new,
+    _set,
     _trusted_union,
 )
 
@@ -286,21 +288,30 @@ def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool,
     den * factor. The pairs come from `_round`, which refused them unless
     prev < a <= b on integers over den > 0: that is lo <= hi and
     prev.hi < lo on the `Fraction`s, what the public constructors check,
-    so the intervals and the union are built without checking again.
+    so the intervals and the union are built in place without checking again.
+    A new endpoint a/den is set as (a // g, den // g), g = gcd(a, den) > 0:
+    lowest terms over a positive denominator, the one state `Fraction.__new__`
+    leaves. `_numerator` and `_denominator` are the two `__slots__` of
+    `Fraction` on Python 3.10-3.13, the two that 3.12's private
+    `Fraction._from_coprime_ints` sets.
     """
     intervals = []
     ahead: dict[int, Fraction] = {}
     for a, b in pairs:
         lo = known.get(a)
         if lo is None:
-            lo = Fraction(a, den)
-        if a == b:
-            hi = lo
-        else:
-            hi = known.get(b)
-            if hi is None:
-                hi = Fraction(b, den)
-        intervals.append(_trusted_interval(lo, hi))
+            g = gcd(a, den)
+            lo = _new(Fraction)
+            lo._numerator, lo._denominator = a // g, den // g
+        hi = lo if a == b else known.get(b)
+        if hi is None:
+            g = gcd(b, den)
+            hi = _new(Fraction)
+            hi._numerator, hi._denominator = b // g, den // g
+        iv = _new(ClosedInterval)
+        _set(iv, "lo", lo)
+        _set(iv, "hi", hi)
+        intervals.append(iv)
         ahead[factor * a] = lo
         ahead[factor * b] = hi
     return Stage(index, _trusted_union(tuple(intervals)), stalled), ahead

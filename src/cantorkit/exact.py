@@ -142,17 +142,6 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _trusted_interval(lo: Fraction, hi: Fraction) -> ClosedInterval:
-    """[lo, hi] built without `__post_init__`, as unpickling builds it.
-
-    Only for `Fraction`s the caller has already shown to satisfy lo <= hi.
-    """
-    iv = _new(ClosedInterval)
-    _set(iv, "lo", lo)
-    _set(iv, "hi", hi)
-    return iv
-
-
 def _trusted_union(intervals: tuple[ClosedInterval, ...]) -> IntervalUnion:
     """The union of `intervals` built without `__post_init__`.
 

@@ -362,6 +362,18 @@ class TestMainExitCodes:
         assert run_main(["construct", "--spec", "cantor"]) == (
             1, "", '{"error": "internal", "message": "no listed kind"}\n', None)
 
+    @pytest.mark.parametrize("handler, argv", [
+        ("cmd_construct", ["construct", "--spec", "cantor", "--format", "json"]),
+        ("render_svg", ["render", "--spec", "cantor"]),
+    ])
+    def test_running_out_of_memory_is_a_resource_error(self, handler, argv, monkeypatch):
+        def fail(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, handler, fail)
+        assert run_main(argv) == (
+            4, "", f'{{"error": "resource", "message": "{argv[0]} ran out of memory"}}\n', None)
+
     def test_cantorfun_domain_failure(self, capsys):
         assert main(["cantorfun", "--x", "1/2"]) == 3
         err = json.loads(capsys.readouterr().err)

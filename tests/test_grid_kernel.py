@@ -221,6 +221,21 @@ def test_characterization_check_matches_the_fraction_reference(data, case):
     assert characterization_equivalence_check(spec, es, depth) == _own_check(spec, es, depth)
 
 
+def _assert_public_fractions(stage):
+    """Every endpoint, set in place by the kernel, acts as the public `Fraction` of its value.
+
+    The kernel writes `Fraction`'s two slots directly, so this is the guard
+    on their names on every Python the package supports.
+    """
+    for iv in stage.intervals:
+        for e in (iv.lo, iv.hi):
+            f = Fraction(str(e))
+            assert type(e) is Fraction
+            assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
+            assert e == f and hash(e) == hash(f) and {f: 1}[e] == 1
+            assert repr(e) == repr(f) and e + 0 == f
+
+
 def _assert_stages_built_as_checked(stages, own):
     """Each stage equals its rebuild through the public constructors, and `own`.
 
@@ -235,10 +250,7 @@ def _assert_stages_built_as_checked(stages, own):
             ClosedInterval(iv.lo, iv.hi) for iv in stage.intervals)), stalled)
         assert stage == rebuilt and stage.intervals == union
         assert hash(stage) == hash(rebuilt)
-        for iv in stage.intervals:
-            for e in (iv.lo, iv.hi):
-                assert type(e) is Fraction
-                assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
+        _assert_public_fractions(stage)
         assert pickle.loads(pickle.dumps(stage)) == stage
         assert copy.deepcopy(stage) == stage
     ends = [e for stage in stages for iv in stage.intervals for e in (iv.lo, iv.hi)]
@@ -277,8 +289,18 @@ def off_grid_stages(draw):
     return spec, Stage(draw(st.integers(0, 4)), IntervalUnion.from_pairs(pairs))
 
 
+# A stage given to `next_stage` may reach below 0, so new endpoints may
+# have negative numerators.
+BELOW_ZERO = Stage(1, IntervalUnion.from_pairs([(Fraction(-7, 5), Fraction(-1, 5)),
+                                                (Fraction(-1, 10), Fraction(-1, 10)),
+                                                (Fraction(0), Fraction(2, 3))]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(off_grid_stages())
+@example((parse_spec("ac"), BELOW_ZERO))
+@example((parse_spec("c14"), BELOW_ZERO))
+@example((Power(3), BELOW_ZERO))
 def test_next_stage_on_a_stage_off_the_family_grid(case):
     # A power removal at least as long as its component leaves the two
     # endpoints and stalls the process.
@@ -295,7 +317,9 @@ def test_next_stage_on_a_stage_off_the_family_grid(case):
             out, stop = _own_round(spec, k, iv.lo, iv.hi)
             pieces += out
             stalled = stalled or stop
-    assert next_stage(spec, stage) == Stage(k, IntervalUnion.from_pairs(pieces), stalled)
+    result = next_stage(spec, stage)
+    assert result == Stage(k, IntervalUnion.from_pairs(pieces), stalled)
+    _assert_public_fractions(result)
 
 
 def test_stage_paths_build_no_intervals(monkeypatch):
