@@ -15,10 +15,10 @@ at most q + 1 states is entered once and every query terminates.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Sequence
 
 from .constructions import (
     MAX_BUILT_INTERVALS,

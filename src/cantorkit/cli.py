@@ -1,22 +1,23 @@
 """Command line interface: construct, analyze, member, render, cantorfun.
 
-Results go to stdout (or --out); errors go to stderr as a single JSON
-line carrying the error kind's code, and the exit status is the kind's
-(see `errors`): 0 success, 2 parse or validation failure, 3 domain error,
-4 resource refusal, running out of memory included.
+A request is parsed once, by its subcommand's parser. Results go to stdout
+(or --out); errors go to stderr as a single JSON line carrying the error
+kind's code, and the exit status is the kind's (see `errors`): 0 success,
+2 parse or validation failure, 3 domain error, 4 resource refusal, running
+out of memory included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from ast import literal_eval
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
-from typing import Sequence
 
 from .analysis import (
     Characterized,
@@ -159,24 +160,28 @@ def cmd_member(spec: ConstructionSpec, x: Fraction, depth_cap: int = DEFAULT_DEP
     ])
 
 
+def _fs_path(raw: str) -> str:
+    """`raw` as pathlib spells it: `spec.json/` and `spec.json/.` name `spec.json`."""
+    root = raw[:len(raw) - len(raw.lstrip("/"))]
+    parts = [part for part in raw.split("/") if part not in ("", ".")]
+    return (root if root == "//" else root[:1]) + "/".join(parts) or "."
+
+
 def _load_spec(raw: str) -> ConstructionSpec:
-    path = Path(raw)
-    try:
-        is_file = path.is_file()
-    except OSError:
-        is_file = False
-    if is_file:
+    if os.path.isfile(path := _fs_path(raw)):
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as file:
+                raw = file.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read spec document {_echo(raw)}: {_cut(exc)}") from exc
     return parse_spec(raw)
 
 
 # argparse writes an offending value as its repr. Only the escapes repr
-# produces are matched, so literal_eval decodes every match.
+# produces are matched, so literal_eval decodes every match. The pattern is
+# compiled by the first argument error that uses it, and cached by `re`.
 _ESCAPE = r"""\\(?:[\\'"tnr]|x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8})"""
-_REPR = re.compile(r"'(?:[^'\\]|%s)*'|" % _ESCAPE + r'"(?:[^"\\]|%s)*"' % _ESCAPE)
+_REPR = r"'(?:[^'\\]|%s)*'|" % _ESCAPE + r'"(?:[^"\\]|%s)*"' % _ESCAPE
 
 _UNRECOGNIZED = "unrecognized arguments: "
 _AMBIGUOUS = "ambiguous option: "
@@ -193,7 +198,7 @@ class _ArgumentParser(argparse.ArgumentParser):
             text, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
             head, tail = _AMBIGUOUS, sep + matches
         else:
-            raise ParseError(_REPR.sub(
+            raise ParseError(re.sub(_REPR,
                 lambda m: m[0] if len(m[0]) <= 102 and _fits(m[0])
                 else _echo(literal_eval(m[0])), message))
         shown = _echo(text)
@@ -201,8 +206,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by later calls.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommands' parsers by name (its
+    subparsers action's `choices`), built on first use and shared by later calls.
 
     Sharing is safe: `parse_args` returns a fresh Namespace each time, `prog`
     is fixed rather than read from sys.argv, and help is formatted per call.
@@ -264,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="query point as num/den")
     p.add_argument("--out", help="write the result to this file instead of stdout")
     p.set_defaults(run=lambda a: fraction_str(cantor_function(parse_fraction(a.x))))
-    return parser
+    return parser, sub.choices
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -272,7 +278,8 @@ def _emit(text: str, out: str | None) -> None:
         text += "\n"
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(_fs_path(out), "w", encoding="utf-8") as file:
+                file.write(text)
         except (OSError, ValueError) as exc:
             # ValueError: a NUL or an unencodable character in the path.
             raise ParseError(f"cannot write output file {_echo(out)}: {_cut(exc)}") from exc
@@ -281,8 +288,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        parser, commands = _build_parser()
+        sub = commands.get(argv[0]) if argv else None
+        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
+                else parser.parse_args(argv))
         try:
             _emit(args.run(args), args.out)
         except MemoryError:

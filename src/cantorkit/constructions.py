@@ -40,10 +40,10 @@ cleared whenever that part grows.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator
 
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import (

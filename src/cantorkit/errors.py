@@ -9,8 +9,8 @@ resource refusals 4, and any other toolkit error is reported as
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 
 class CantorKitError(Exception):

@@ -8,9 +8,9 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import ValidationError, _cut, _written
 

@@ -10,7 +10,7 @@ import tempfile
 import time
 from datetime import timedelta
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -629,6 +629,111 @@ class TestParserReuse:
         got = run_main(second)
         assert got == want
         assert got[0] == 0 and check(got[1])
+
+
+# argvs on either side of the dispatch: no command, top-level help, an unknown
+# or abbreviated command, an option before the command, and a subcommand's
+# help, "--", abbreviated option, missing value and extra argument.
+EDGE_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"], ["constr", "--spec", "cantor"],
+    ["--spec", "cantor", "construct"], ["construct", "-h"], ["construct", "--", "--spec", "cantor"],
+    ["construct", "--sp", "cantor"], ["construct", "--spec", "cantor", "--depth"],
+    ["cantorfun", "--x", "1/4", "extra"],
+]
+
+
+def whole_tree(monkeypatch):
+    """Make main parse every argv with the whole tree, as it once did."""
+    parser, _ = _build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+
+
+class TestDispatch:
+    def test_dispatch_answers_as_the_whole_tree(self, tmp_path, monkeypatch):
+        argvs = EDGE_ARGV + sweep_argv(str(tmp_path), random.Random(1618))
+        dispatched = [run_main(argv) for argv in argvs]
+        whole_tree(monkeypatch)
+        tree = [run_main(argv) for argv in argvs]
+        for argv, got, want in zip(argvs, dispatched, tree):
+            assert got == want, argv
+        assert {code for code, *_ in tree} == {0, 2, 3, 4}
+        assert any(written for *_, written in tree)
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: cantorkit [-h]"), (["--help"], "usage: cantorkit [-h]"),
+        (["construct", "-h"], "usage: cantorkit construct"),
+        (["cantorfun", "--help"], "usage: cantorkit cantorfun"),
+    ])
+    def test_help_exits_zero_with_the_same_text_on_both_paths(self, argv, usage,
+                                                              monkeypatch):
+        def help_text():
+            with pytest.raises(SystemExit) as exc, \
+                    contextlib.redirect_stdout(io.StringIO()) as out:
+                main(argv)
+            assert exc.value.code == 0
+            return out.getvalue()
+
+        dispatched = help_text()
+        whole_tree(monkeypatch)
+        assert help_text() == dispatched and dispatched.startswith(usage)
+
+    @pytest.mark.parametrize("argv", [
+        ["cantorfun", "--x", "1/4"], ["construct", "--spec", "cantor", "--depth", "x"],
+        [], ["constr", "--spec", "cantor"], ["--spec", "cantor", "construct"],
+    ])
+    def test_a_request_that_names_its_command_is_parsed_once(self, argv, monkeypatch):
+        parser, commands = _build_parser.__wrapped__()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, commands))
+        passes = []
+        for p in (parser, *commands.values()):
+            monkeypatch.setattr(p, "parse_known_args",
+                                lambda *a, p=p, parse=p.parse_known_args:
+                                passes.append(p) or parse(*a))
+        run_main(argv)
+        assert passes == [commands[argv[0]] if argv and argv[0] in commands else parser]
+
+
+class TestPathSpelling:
+    """A --spec or --out path is opened as pathlib spells it, as it always was."""
+
+    SPEC = '{"type": "subdivision", "n": 4, "removed": [2]}'
+    TAILS = ["/", "/.", "//", "/./", "/.//."]
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_a_spec_path_ending_in_a_slash_or_dot_reads_the_file(self, tail, tmp_path):
+        doc = tmp_path / "spec.json"
+        doc.write_text(self.SPEC, encoding="utf-8")
+        argv = ["construct", "--spec", str(doc), "--depth", "1"]
+        want = run_main(argv)
+        assert want == (0, "[0/1, 1/1]\n[0/1, 1/2] ∪ [3/4, 1/1]\n", "", None)
+        assert run_main(argv[:2] + [str(doc) + tail] + argv[3:]) == want
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_an_out_path_ending_in_a_slash_or_dot_writes_the_file(self, tail, tmp_path):
+        target = tmp_path / "f.txt"
+        argv = ["construct", "--spec", "cantor", "--depth", "1", "--out", str(target) + tail]
+        assert run_main(argv)[:3] == (0, "", "")
+        assert target.read_text(encoding="utf-8") == "[0/1, 1/1]\n[0/1, 1/3] ∪ [2/3, 1/1]\n"
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_a_path_that_fails_is_named_as_pathlib_names_it(self, tail, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)  # short relative paths keep the messages whole
+        (tmp_path / "bad.json").write_bytes(b"\xff")
+        bad, missing = "bad.json", os.path.join("missing", "g")
+        message = assert_error_line(run_main(["construct", "--spec", bad + tail]), "parse")
+        assert message.startswith(f"cannot read spec document {bad + tail!r}: ")
+        message = assert_error_line(run_main(["construct", "--spec", "cantor",
+                                              "--out", missing + tail]), "parse")
+        assert message == (f"cannot write output file {missing + tail!r}: "
+                           f"[Errno 2] No such file or directory: {missing!r}")
+
+    def test_the_path_is_spelled_as_pathlib_spells_it(self):
+        rng = random.Random(31)
+        parts = ["/", "//", ".", "..", "a", "b.json", "", ".a", "a.", " ", "\\", "é"]
+        for _ in range(5000):
+            raw = "".join(rng.choice(parts) for _ in range(rng.randint(0, 8)))
+            assert cli._fs_path(raw) == str(PurePosixPath(raw)), raw
 
 
 HUGE_BASE = "svc:1" + "0" * 1500

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is referenced in that module.
+"""Import hygiene: every name a module imports is referenced in that module,
+and the command line loads no module it does not run.
 
 Stdlib `ast` only, so it runs wherever the tests run. `__init__.py` is
 skipped because its imports are the package's re-exports, and
@@ -6,6 +7,9 @@ skipped because its imports are the package's re-exports, and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,12 @@ def test_the_scan_sees_an_unused_import():
               "import os.path\nimport json as j\nfrom math import gcd, lcm\n"
               "print(os.sep, lcm)\n")
     assert unused_imports(source) == ["gcd", "j"]
+
+
+def test_the_command_line_loads_neither_typing_nor_pathlib():
+    # -S: no site hooks, so only what cantorkit.cli imports is loaded.
+    code = "import sys, cantorkit.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
