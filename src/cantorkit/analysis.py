@@ -15,7 +15,7 @@ at most q + 1 states is entered once and every query terminates.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,12 +25,12 @@ from .constructions import (
     ConstructionSpec,
     Power,
     Proportional,
-    Stage,
     Subdivision,
     _at_least,
     _grid_stages,
     _kept_grid,
     _power_over,
+    _query_point,
     _removed_at,
     _round,
     _rounds,
@@ -108,6 +108,17 @@ def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     return Fraction(max(b - a for a, b in runs), d) ** n
 
 
+def _check_base(base: object) -> None:
+    if not _is_int(base) or base < 2:
+        raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(base)}")
+
+
+def _check_digits(base: int, digits: Iterable[object]) -> None:
+    for d in digits:
+        if not _is_int(d) or not 0 <= d < base:
+            raise ValidationError(f"digit {_echo(d)} outside base-{_echo(base)} range")
+
+
 @dataclass(frozen=True)
 class ExpansionSpec:
     """Digit filter: base-b expansions restricted to the allowed digits."""
@@ -117,11 +128,8 @@ class ExpansionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allowed", frozenset(self.allowed))
-        if not _is_int(self.base) or self.base < 2:
-            raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(self.base)}")
-        for d in self.allowed:
-            if not _is_int(d) or not 0 <= d < self.base:
-                raise ValidationError(f"digit {_echo(d)} outside base-{_echo(self.base)} range")
+        _check_base(self.base)
+        _check_digits(self.base, self.allowed)
         if not self.allowed:
             raise ValidationError("at least one digit must be allowed")
         if len(self.allowed) >= self.base:
@@ -139,13 +147,10 @@ class DigitExpansion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
-        if not _is_int(self.base) or self.base < 2:
-            raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(self.base)}")
+        _check_base(self.base)
         if not self.period:
             raise ValidationError("period must be nonempty")
-        for d in self.preperiod + self.period:
-            if not _is_int(d) or not 0 <= d < self.base:
-                raise ValidationError(f"digit {_echo(d)} outside base-{_echo(self.base)} range")
+        _check_digits(self.base, self.preperiod + self.period)
 
     @classmethod
     def from_rational(cls, x: Fraction, base: int) -> "DigitExpansion":
@@ -154,8 +159,7 @@ class DigitExpansion:
         Terminating values get a (0,) period; 1 itself is written with the
         all-(base-1) period since it has no terminating form.
         """
-        if not _is_int(base) or base < 2:
-            raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(base)}")
+        _check_base(base)
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise DomainError(f"expansions are defined on [0, 1], got {_cut(x)}")
@@ -240,10 +244,7 @@ def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:
     Existential over the (at most two) expansions at every branch point;
     total because the state space is finite.
     """
-    x = _as_fraction(x)
-    if not 0 <= x.numerator <= x.denominator:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
-    return _digit_search(es, x) is not None
+    return _digit_search(es, _query_point(x)) is not None
 
 
 def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
@@ -251,10 +252,7 @@ def allowed_expansion(es: ExpansionSpec, x: Fraction) -> DigitExpansion | None:
 
     Greedy on the smallest usable digit, so the result is deterministic.
     """
-    x = _as_fraction(x)
-    if not 0 <= x.numerator <= x.denominator:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
-    run = _digit_search(es, x)
+    run = _digit_search(es, _query_point(x))
     return None if run is None else DigitExpansion(es.base, *run)
 
 
@@ -406,12 +404,6 @@ def characterization_equivalence_check(
         if stage_set != digit_set:
             return MismatchWitness(d, _separating_point(stage_set, digit_set, common))
     return Characterized(es)
-
-
-def scale_census(s: Stage) -> list[tuple[Fraction, int]]:
-    """Component lengths with multiplicities, largest first."""
-    counts = Counter(iv.length for iv in s.intervals)
-    return sorted(counts.items(), key=lambda kv: kv[0], reverse=True)
 
 
 def contraction_ratios(spec: Proportional | Subdivision) -> tuple[Fraction, ...]:

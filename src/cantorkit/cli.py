@@ -190,6 +190,12 @@ _AMBIGUOUS = "ambiguous option: "
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors raise ParseError, so they end in the JSON error line."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative fraction such as -1/3 is a value, as -1 and -0.5 already are.
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d+/\d+$")
+
     def error(self, message: str):
         # argparse writes the offending text in these two messages unquoted.
         if message.startswith(_UNRECOGNIZED):

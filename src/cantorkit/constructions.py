@@ -511,6 +511,13 @@ def _walk_table(spec: Proportional | Subdivision) -> tuple[int, tuple[tuple[int,
     return d, tuple(table)
 
 
+def _query_point(x: Fraction) -> Fraction:
+    x = _as_fraction(x)
+    if not 0 <= x.numerator <= x.denominator:
+        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
+    return x
+
+
 def limit_membership(spec: ConstructionSpec, x: Fraction,
                      depth_cap: int = DEFAULT_DEPTH_CAP) -> MembershipVerdict:
     """Decide membership of x in the limit set, without enumerating stages.
@@ -542,10 +549,8 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
     end, so `depth_cap` bounds it and the verdict may be
     `UndecidedMemberToDepth`.
     """
-    x = _as_fraction(x)
+    x = _query_point(x)
     p, q = x.numerator, x.denominator
-    if not 0 <= p <= q:
-        raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
     _at_least(depth_cap, "depth cap")
     if isinstance(spec, Power):
         return _power_membership(spec, x, depth_cap)

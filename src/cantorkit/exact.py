@@ -1,20 +1,17 @@
-"""Exact rational scalars, closed intervals, and disjoint interval unions.
+"""Closed intervals and the disjoint interval unions that stages are made of.
 
-Everything downstream computes over these three shapes. All endpoints and
-measures are `fractions.Fraction` values and every operation is exact; no
-floating point enters this module. Values are immutable after construction
-and safe to share between threads.
+All endpoints and measures are `fractions.Fraction` values and every
+operation is exact; no floating point enters this module. Values are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError, _cut, _written
-
-Rational = Fraction
 
 
 def _is_int(value: object) -> bool:
@@ -25,13 +22,6 @@ def _is_int(value: object) -> bool:
 def _as_fraction(value: object) -> Fraction:
     """value as a Fraction: an exact Fraction as given, anything else converted."""
     return value if type(value) is Fraction else Fraction(value)
-
-
-def rat(numer: int, denom: int = 1) -> Fraction:
-    """Normalized rational numer/denom; the sign lands on the numerator."""
-    if denom == 0:
-        raise ValidationError("zero denominator")
-    return Fraction(numer, denom)
 
 
 @dataclass(frozen=True, order=True)
@@ -73,10 +63,9 @@ def _cut_interval(iv: ClosedInterval) -> str:
 class IntervalUnion:
     """Strictly increasing, pairwise separated closed intervals.
 
-    Consecutive members never touch (prev.hi < next.lo); input that
-    overlaps or touches must be merged first, which `union_normalize`
-    does. The constructor validates and rejects, it does not repair.
-    Equality is exact point-set equality because the form is canonical.
+    Consecutive members never touch (prev.hi < next.lo). The constructor
+    rejects input that overlaps or touches; it does not merge. Equality
+    is exact point-set equality because the form is canonical.
     """
 
     intervals: tuple[ClosedInterval, ...] = ()
@@ -88,11 +77,6 @@ class IntervalUnion:
                 raise ValidationError(
                     "intervals overlap, touch, or are out of order: "
                     f"{_cut_interval(prev)} before {_cut_interval(cur)}")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple]) -> "IntervalUnion":
-        """Normalize a sequence of (lo, hi) pairs."""
-        return union_normalize(ClosedInterval(lo, hi) for lo, hi in pairs)
 
     def __iter__(self) -> Iterator[ClosedInterval]:
         return iter(self.intervals)
@@ -152,46 +136,3 @@ def _trusted_union(intervals: tuple[ClosedInterval, ...]) -> IntervalUnion:
     _set(u, "intervals", intervals)
     return u
 
-
-def union_normalize(raw: Iterable[ClosedInterval]) -> IntervalUnion:
-    """Sort intervals and merge overlapping or touching ones.
-
-    The result covers exactly the same points; the input may be in any
-    order and may repeat intervals. Idempotent on normalized input.
-    """
-    merged: list[ClosedInterval] = []
-    for iv in sorted(raw):
-        if merged and iv.lo <= merged[-1].hi:
-            if iv.hi > merged[-1].hi:
-                merged[-1] = ClosedInterval(merged[-1].lo, iv.hi)
-        else:
-            merged.append(iv)
-    return IntervalUnion(tuple(merged))
-
-
-def union_measure(u: IntervalUnion) -> Fraction:
-    """Exact total length of the union."""
-    return u.measure
-
-
-def union_gaps(u: IntervalUnion, ambient: ClosedInterval) -> IntervalUnion:
-    """Closure of ambient minus u, as an interval union.
-
-    Gap endpoints are shared with u and ambient; callers treat the gap
-    interiors as the removed open sets. Two gaps meeting at a degenerate
-    member of u merge (the result is normalized), which only ever glues
-    them at single points, so measure(u) + measure(gaps) equals the
-    ambient length regardless. Requires u to be contained in ambient.
-    """
-    if u.intervals:
-        if u.intervals[0].lo < ambient.lo or u.intervals[-1].hi > ambient.hi:
-            raise ValidationError("union is not contained in the ambient interval")
-    gaps: list[ClosedInterval] = []
-    cursor = ambient.lo
-    for iv in u.intervals:
-        if cursor < iv.lo:
-            gaps.append(ClosedInterval(cursor, iv.lo))
-        cursor = iv.hi
-    if cursor < ambient.hi:
-        gaps.append(ClosedInterval(cursor, ambient.hi))
-    return union_normalize(gaps)

@@ -6,6 +6,10 @@ were derived by hand from the construction rules and double-checked via
 measure bookkeeping (the stage-n total must follow the closed recursion
 for the family).
 
+`normalize` sorts closed intervals and merges the ones that overlap or
+touch; `table` builds a union from (lo, hi) pairs with it, and
+`length_census` counts a stage's component lengths.
+
 `_own_stages` builds any stage in `Fraction`s straight from the family
 definitions, without the package's deletion rule, so the package's
 integer-grid kernel can be tested against it. `_stage_membership` is the
@@ -26,13 +30,14 @@ that stays alive. `reference_digits` answers the three digit questions
 with them, the reference for the package's one depth-first search.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import strategies as st
 
 from cantorkit import (
+    ClosedInterval,
     DomainError,
     ExcludedAtDepth,
     ExpansionSpec,
@@ -48,9 +53,27 @@ from cantorkit import (
 from cantorkit.constructions import _child_rule, _kept_grid
 
 
+def normalize(intervals) -> IntervalUnion:
+    """Closed intervals in any order, sorted, with overlapping or touching
+    ones merged: the union that covers the same points."""
+    merged = []
+    for iv in sorted(intervals):
+        if merged and iv.lo <= merged[-1].hi:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = ClosedInterval(merged[-1].lo, iv.hi)
+        else:
+            merged.append(iv)
+    return IntervalUnion(tuple(merged))
+
+
 def table(pairs) -> IntervalUnion:
-    return IntervalUnion.from_pairs(
-        (Fraction(lo), Fraction(hi)) for lo, hi in pairs)
+    """The union of (lo, hi) pairs, each end a fraction string or a number."""
+    return normalize(ClosedInterval(Fraction(lo), Fraction(hi)) for lo, hi in pairs)
+
+
+def length_census(stage) -> list[tuple[Fraction, int]]:
+    """A stage's component lengths with their multiplicities, largest first."""
+    return sorted(Counter(iv.length for iv in stage.intervals).items(), reverse=True)
 
 
 EXPECTED_STAGES: dict[str, dict[int, list[tuple[str, str]]]] = {
@@ -134,7 +157,7 @@ def _own_round(spec, k, lo, hi):
 
 def _own_stages(spec, depth):
     """(normalized union, stalled) for stages 0..depth."""
-    union, stalled = IntervalUnion.from_pairs([(0, 1)]), False
+    union, stalled = table([(0, 1)]), False
     out = [(union, stalled)]
     for k in range(1, depth + 1):
         if not stalled:
@@ -146,7 +169,7 @@ def _own_stages(spec, depth):
                 pieces, stop = _own_round(spec, k, iv.lo, iv.hi)
                 nxt += pieces
                 stalled = stalled or stop
-            union = IntervalUnion.from_pairs(nxt)
+            union = table(nxt)
         out.append((union, stalled))
     return out
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from cantorkit import (
     Characterized,
+    ClosedInterval,
     ExcludedAtDepth,
     ExpansionSpec,
     IntervalUnion,
@@ -32,7 +33,6 @@ from cantorkit import (
     similarity_dimension,
     stage_measure,
     stage_membership,
-    union_measure,
     verdict_is_member,
 )
 from cantorkit.cli import cmd_construct, main
@@ -97,11 +97,10 @@ def test_04_svc2_stalls_to_four_points():
     stages = iterate(parse_spec("svc:2"), 5)
     assert not stages[1].stalled
     assert stages[2].stalled
-    four_points = IntervalUnion.from_pairs(
-        [(0, 0), (Fraction(1, 4), Fraction(1, 4)),
-         (Fraction(3, 4), Fraction(3, 4)), (1, 1)])
+    four_points = IntervalUnion(tuple(
+        ClosedInterval(p, p) for p in (0, Fraction(1, 4), Fraction(3, 4), 1)))
     assert stages[2].intervals == four_points
-    assert union_measure(stages[2].intervals) == 0
+    assert stages[2].intervals.measure == 0
     for k in (3, 4, 5):
         assert stages[k] is stages[2]
     _line("svc:2 stall", True,

@@ -34,14 +34,12 @@ from cantorkit import (
     limit_membership,
     max_component_length,
     parse_spec,
-    scale_census,
     similarity_dimension,
     stage_measure,
-    union_measure,
 )
 from cantorkit.analysis import _digit_search, _length_census
 from cantorkit.cli import cmd_analyze
-from reference_stages import reference_cantor_function, reference_digits
+from reference_stages import length_census, reference_cantor_function, reference_digits
 
 
 class TestStageMeasure:
@@ -72,7 +70,7 @@ class TestStageMeasure:
     def test_agrees_with_enumerated_union(self, preset):
         spec = parse_spec(preset)
         for n, stage in enumerate(iterate(spec, 8)):
-            assert stage_measure(spec, n) == union_measure(stage.intervals)
+            assert stage_measure(spec, n) == stage.intervals.measure
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValidationError):
@@ -416,24 +414,6 @@ class TestEquivalenceCheck:
         assert verdict.depth == 2
 
 
-class TestScaleCensus:
-    def test_middle_thirds_is_pure(self):
-        stage = iterate(parse_spec("cantor"), 2)[2]
-        assert scale_census(stage) == [(Fraction(1, 9), 4)]
-
-    def test_mixed_subdivision(self):
-        stage = iterate(parse_spec("ac"), 2)[2]
-        assert scale_census(stage) == [(Fraction(1, 4), 1), (Fraction(1, 8), 2),
-                                       (Fraction(1, 16), 1)]
-
-    def test_counts_cover_all_components(self):
-        for preset in ("cantor", "ac", "ac5a", "svc:4"):
-            stage = iterate(parse_spec(preset), 3)[3]
-            census = scale_census(stage)
-            total = sum(count for _, count in census)
-            assert total == len(stage.intervals)
-
-
 def _census_cases():
     rng = random.Random(2718)
     specs = [parse_spec(name) for name in sorted(PRESETS)]
@@ -454,7 +434,7 @@ def test_length_census_matches_the_enumerated_stage(spec):
     for n, (stage, (den, counts, stalled)) in enumerate(zip(stages, census)):
         lengths = sorted(((Fraction(length, den), count) for length, count in counts.items()),
                          reverse=True)
-        assert lengths == scale_census(stage), (spec, n)
+        assert lengths == length_census(stage), (spec, n)
         assert stalled == stage.stalled, (spec, n)
 
 
@@ -486,7 +466,7 @@ def test_one_pass_analyze_matches_the_per_stage_functions(spec):
             fraction_str(max_component_length(spec, k)) for k in range(n + 1)], (spec, n)
         assert doc["scale_census"] == [
             {"length": fraction_str(length), "count": count}
-            for length, count in scale_census(stages[n])], (spec, n)
+            for length, count in length_census(stages[n])], (spec, n)
 
 
 class TestSimilarityDimension:

@@ -693,6 +693,39 @@ class TestDispatch:
         assert passes == [commands[argv[0]] if argv and argv[0] in commands else parser]
 
 
+class TestNegativeFractionValues:
+    """A negative fraction after --x is its value, as a negative integer is."""
+
+    DOMAIN = {
+        "member": "membership queries require 0 <= x <= 1, got {}",
+        "cantorfun": "the function is defined on [0, 1], got {}",
+    }
+    HEADS = [["member", "--spec", "cantor"], ["cantorfun"]]
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["dispatched", "whole tree"])
+    @pytest.mark.parametrize("head", HEADS, ids=lambda head: head[0])
+    @pytest.mark.parametrize("x", ["-1/3", "-2/1", "-0/5", "-10/7", "-1"])
+    def test_a_negative_value_answers_as_its_equals_form(self, x, head, tree, monkeypatch):
+        if tree:
+            whole_tree(monkeypatch)
+        joined = run_main(head + [f"--x={x}"])
+        assert run_main(head + ["--x", x]) == joined
+        if x == "-0/5":
+            assert joined[0] == 0
+        else:
+            line = json.dumps({"error": "domain",
+                               "message": self.DOMAIN[head[0]].format(x.removesuffix("/1"))})
+            assert joined == (3, "", line + "\n", None)
+
+    @pytest.mark.parametrize("head", HEADS, ids=lambda head: head[0])
+    @pytest.mark.parametrize("x", ["-a/3", "-1/3/4", "-1/"])
+    def test_other_dash_text_is_still_an_option(self, x, head):
+        result = run_main(head + ["--x", x])
+        assert result[0] == 2
+        assert_error_line(result, "parse")
+        assert "argument --x: expected one argument" in result[2]
+
+
 class TestPathSpelling:
     """A --spec or --out path is opened as pathlib spells it, as it always was."""
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cantorkit import (
     CANTOR_TERNARY,
     MAX_ENUMERATED_INTERVALS,
+    ClosedInterval,
     ExcludedAtDepth,
     ExpansionSpec,
     IntervalUnion,
@@ -33,7 +34,6 @@ from cantorkit import (
     render_svg,
     stage_measure,
     stage_membership,
-    union_measure,
     verdict_is_member,
 )
 from cantorkit.cli import cmd_analyze, cmd_construct
@@ -150,8 +150,8 @@ class TestNextStage:
         # the deleted span is open, so the component edge survives alone
         spec = Subdivision(3, frozenset({0}))
         s1 = next_stage(spec, initial_stage())
-        assert s1.intervals == IntervalUnion.from_pairs(
-            [(0, 0), (Fraction(1, 3), 1)])
+        assert s1.intervals == IntervalUnion(
+            (ClosedInterval(0, 0), ClosedInterval(Fraction(1, 3), 1)))
 
 
 class TestIterate:
@@ -166,7 +166,7 @@ class TestIterate:
     def test_depth_zero(self):
         stages = iterate(parse_spec("cantor"), 0)
         assert len(stages) == 1
-        assert stages[0].intervals == IntervalUnion.from_pairs([(0, 1)])
+        assert stages[0].intervals == IntervalUnion((ClosedInterval(0, 1),))
 
     def test_stalled_stage_repeats(self):
         stages = iterate(parse_spec("svc:2"), 5)
@@ -225,7 +225,7 @@ def test_endpoints_persist(preset):
 
 def test_stage_measure_decreases_until_stall():
     stages = iterate(parse_spec("svc:2"), 5)
-    measures = [union_measure(s.intervals) for s in stages]
+    measures = [s.intervals.measure for s in stages]
     assert measures == [1, Fraction(1, 2), 0, 0, 0, 0]
 
 

@@ -5,39 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantorkit import (
-    ClosedInterval,
-    IntervalUnion,
-    ValidationError,
-    rat,
-    union_gaps,
-    union_measure,
-    union_normalize,
-)
-
-UNIT = ClosedInterval(0, 1)
-
-
-def iu(pairs):
-    return IntervalUnion.from_pairs(pairs)
-
-
-class TestRat:
-    def test_normalizes(self):
-        assert rat(2, 4) == Fraction(1, 2)
-        assert rat(-3, -6) == Fraction(1, 2)
-        assert rat(3, -6) == Fraction(-1, 2)
-        assert rat(7) == Fraction(7)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValidationError):
-            rat(1, 0)
-
-    def test_exact_comparisons_at_huge_denominators(self):
-        a = rat(1, 10 ** 40)
-        b = rat(1, 10 ** 40 + 1)
-        assert a > b
-        assert a - b == Fraction(1, 10 ** 40 * (10 ** 40 + 1))
+from cantorkit import ClosedInterval, IntervalUnion, ValidationError
+from reference_stages import normalize
+from reference_stages import table as iu
 
 
 class TestClosedInterval:
@@ -59,23 +29,23 @@ class TestClosedInterval:
 
 class TestNormalize:
     def test_sorts(self):
-        u = union_normalize([ClosedInterval(Fraction(3, 4), 1),
-                             ClosedInterval(0, Fraction(1, 2))])
+        u = normalize([ClosedInterval(Fraction(3, 4), 1),
+                       ClosedInterval(0, Fraction(1, 2))])
         assert u == iu([(0, Fraction(1, 2)), (Fraction(3, 4), 1)])
 
     def test_merges_touching(self):
-        u = union_normalize([ClosedInterval(0, Fraction(1, 2)),
-                             ClosedInterval(Fraction(1, 2), 1)])
+        u = normalize([ClosedInterval(0, Fraction(1, 2)),
+                       ClosedInterval(Fraction(1, 2), 1)])
         assert u == iu([(0, 1)])
 
     def test_merges_contained(self):
-        u = union_normalize([ClosedInterval(0, 1),
-                             ClosedInterval(Fraction(1, 3), Fraction(2, 3))])
+        u = normalize([ClosedInterval(0, 1),
+                       ClosedInterval(Fraction(1, 3), Fraction(2, 3))])
         assert u == iu([(0, 1)])
 
     def test_point_touching_interval_absorbed(self):
-        u = union_normalize([ClosedInterval(0, Fraction(1, 4)),
-                             ClosedInterval(Fraction(1, 4), Fraction(1, 4))])
+        u = normalize([ClosedInterval(0, Fraction(1, 4)),
+                       ClosedInterval(Fraction(1, 4), Fraction(1, 4))])
         assert u == iu([(0, Fraction(1, 4))])
 
     def test_constructor_rejects_unnormalized(self):
@@ -87,44 +57,14 @@ class TestNormalize:
                            ClosedInterval(0, Fraction(1, 4))))
 
     def test_empty(self):
-        assert union_normalize([]) == IntervalUnion()
-        assert union_measure(IntervalUnion()) == 0
+        assert normalize([]) == IntervalUnion()
+        assert IntervalUnion().measure == 0
 
 
-class TestMeasureAndGaps:
+class TestMeasure:
     def test_measure(self):
         u = iu([(0, Fraction(1, 3)), (Fraction(2, 3), 1)])
-        assert union_measure(u) == Fraction(2, 3)
-
-    def test_gaps_middle(self):
-        u = iu([(0, Fraction(1, 3)), (Fraction(2, 3), 1)])
-        assert union_gaps(u, UNIT) == iu([(Fraction(1, 3), Fraction(2, 3))])
-
-    def test_gaps_at_edges(self):
-        u = iu([(Fraction(1, 4), Fraction(1, 2))])
-        gaps = union_gaps(u, UNIT)
-        assert gaps == iu([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
-
-    def test_gaps_of_full_cover(self):
-        assert union_gaps(iu([(0, 1)]), UNIT) == IntervalUnion()
-
-    def test_gaps_of_empty_union(self):
-        assert union_gaps(IntervalUnion(), UNIT) == iu([(0, 1)])
-
-    def test_gaps_around_points_merge_at_the_point(self):
-        u = iu([(0, 0), (Fraction(1, 4), Fraction(1, 4))])
-        gaps = union_gaps(u, UNIT)
-        assert gaps == iu([(0, 1)])
-        assert union_measure(u) + union_measure(gaps) == 1
-
-    def test_gaps_of_stalled_point_set(self):
-        u = iu([(0, 0), (Fraction(1, 4), Fraction(1, 4)),
-                (Fraction(3, 4), Fraction(3, 4)), (1, 1)])
-        assert union_measure(u) + union_measure(union_gaps(u, UNIT)) == 1
-
-    def test_containment_enforced(self):
-        with pytest.raises(ValidationError):
-            union_gaps(iu([(0, 2)]), UNIT)
+        assert u.measure == Fraction(2, 3)
 
 
 class TestQueries:
@@ -153,44 +93,27 @@ unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 @st.composite
-def interval_lists(draw, allow_points=True):
+def interval_lists(draw):
     out = []
     for _ in range(draw(st.integers(0, 6))):
         a = draw(unit_fractions)
         b = draw(unit_fractions)
-        if not allow_points and a == b:
-            continue
         out.append(ClosedInterval(min(a, b), max(a, b)))
     return out
 
 
 @given(interval_lists())
 def test_normalize_idempotent(ivs):
-    once = union_normalize(ivs)
-    assert union_normalize(once.intervals) == once
+    once = normalize(ivs)
+    assert normalize(once.intervals) == once
 
 
 @given(interval_lists(), st.randoms(use_true_random=False))
 def test_normalize_permutation_and_duplication_insensitive(ivs, rng):
-    base = union_normalize(ivs)
+    base = normalize(ivs)
     shuffled = ivs + ivs
     rng.shuffle(shuffled)
-    assert union_normalize(shuffled) == base
-
-
-@given(interval_lists())
-def test_measure_plus_gaps_is_ambient_length(ivs):
-    u = union_normalize(ivs)
-    assert union_measure(u) + union_measure(union_gaps(u, UNIT)) == 1
-
-
-@given(interval_lists(allow_points=False))
-def test_gap_interiors_avoid_the_union(ivs):
-    # gaps only merge across degenerate members, so none are present here
-    u = union_normalize(ivs)
-    for gap in union_gaps(u, UNIT):
-        if not gap.is_point:
-            assert not u.covers((gap.lo + gap.hi) / 2)
+    assert normalize(shuffled) == base
 
 
 def test_rational_round_trip_bulk():

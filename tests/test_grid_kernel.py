@@ -40,12 +40,11 @@ from cantorkit import (
     next_stage,
     parse_spec,
     render_svg,
-    union_normalize,
 )
 from cantorkit import constructions
 from cantorkit.cli import cmd_analyze, cmd_construct
 from cantorkit.spec_io import PRESETS
-from reference_stages import _own_round, _own_stages, specs_with_depth
+from reference_stages import _own_round, _own_stages, normalize, specs_with_depth, table
 
 
 EDGE_CASES = [(Power(2), 6), (Subdivision(3, frozenset({0})), 6),
@@ -176,7 +175,7 @@ def _digit_prefix_union(es, depth):
             acc = acc * es.base + d
         lo = Fraction(acc, es.base ** depth)
         out.append(ClosedInterval(lo, lo + width))
-    return union_normalize(out)
+    return normalize(out)
 
 
 def _set_difference_witness(a, b):
@@ -286,14 +285,15 @@ def off_grid_stages(draw):
     ends = draw(st.lists(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=8))
     ends = sorted(set(ends))
     pairs = [(ends[i], ends[min(i + 1, len(ends) - 1)]) for i in range(0, len(ends), 2)]
-    return spec, Stage(draw(st.integers(0, 4)), IntervalUnion.from_pairs(pairs))
+    return spec, Stage(draw(st.integers(0, 4)),
+                       IntervalUnion(tuple(ClosedInterval(lo, hi) for lo, hi in pairs)))
 
 
 # A stage given to `next_stage` may reach below 0, so new endpoints may
 # have negative numerators.
-BELOW_ZERO = Stage(1, IntervalUnion.from_pairs([(Fraction(-7, 5), Fraction(-1, 5)),
-                                                (Fraction(-1, 10), Fraction(-1, 10)),
-                                                (Fraction(0), Fraction(2, 3))]))
+BELOW_ZERO = Stage(1, IntervalUnion((ClosedInterval(Fraction(-7, 5), Fraction(-1, 5)),
+                                      ClosedInterval(Fraction(-1, 10), Fraction(-1, 10)),
+                                      ClosedInterval(Fraction(0), Fraction(2, 3)))))
 
 
 @settings(max_examples=80, deadline=None)
@@ -318,7 +318,7 @@ def test_next_stage_on_a_stage_off_the_family_grid(case):
             pieces += out
             stalled = stalled or stop
     result = next_stage(spec, stage)
-    assert result == Stage(k, IntervalUnion.from_pairs(pieces), stalled)
+    assert result == Stage(k, table(pieces), stalled)
     _assert_public_fractions(result)
 
 

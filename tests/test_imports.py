@@ -52,3 +52,33 @@ def test_the_command_line_loads_neither_typing_nor_pathlib():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def export_faults(source: str) -> tuple[list[str], list[str]]:
+    """For a package's `__init__` source: the names its `__all__` lists that
+    no import binds, and the names an import binds that `__all__` leaves out."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
+    assert len(listed) == len(set(listed)), "__all__ lists a name twice"
+    return sorted(set(listed) - imported), sorted(imported - set(listed))
+
+
+def test_the_export_list_is_what_the_package_imports():
+    assert export_faults((ROOT / "src/cantorkit/__init__.py").read_text()) == ([], [])
+    # The star import binds every listed name, or fails on the first it cannot.
+    code = "import cantorkit; from cantorkit import *; print(len(cantorkit.__all__))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0
+
+
+def test_the_export_check_sees_a_stale_or_missing_name():
+    source = ("from .exact import ClosedInterval, IntervalUnion\n"
+              "__all__ = ['ClosedInterval', 'union_gaps']\n")
+    assert export_faults(source) == (["union_gaps"], ["IntervalUnion"])
