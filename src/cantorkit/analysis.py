@@ -2,14 +2,17 @@
 
 Stage and limit measures come from closed recurrences, never from stage
 enumeration, so they stay cheap at depths where the stages themselves
-would be astronomically large. Digit work is one depth-first search over
-states p/q with q fixed at the query's denominator: state p steps to
-base * p - d * q for an allowed digit d whenever the result stays inside
-[0, q]. A base-b expansion avoiding the forbidden digits exists exactly
-when an infinite run exists, i.e. when a cycle is reachable. Trying the
-smallest digit first, the first step back onto the current path closes
-the greedy run; a state dies once all its successors have, so each of the
-at most q + 1 states is entered once and every query terminates.
+would be astronomically large. Digit work is one walk over states p/q
+with q fixed at the query's denominator: state p steps to base * p - d * q
+for an allowed digit d whenever the result stays inside [0, q]. A base-b
+expansion avoiding the forbidden digits exists exactly when an infinite
+run exists, i.e. when a cycle is reachable. The automaton is a chain:
+with base * p = d * q + t, a state with t > 0 has the one successor t, by
+digit d, and a state with t = 0 has q by d - 1 and 0 by d, where q steps
+only to itself by base - 1 and 0 only to itself by 0. Each branch closes
+a cycle at once or dies, so taking the smaller digit whose branch lives
+gives the greedy run; a forbidden step ends the walk, a repeated state
+closes it, and each of the at most q + 1 states is entered once.
 """
 
 from __future__ import annotations
@@ -199,43 +202,28 @@ def _digits_value(base: int, preperiod: Sequence[int], period: Sequence[int]) ->
 
 
 def _digit_search(es: ExpansionSpec, x: Fraction) -> tuple[list[int], list[int]] | None:
-    """Greedy depth-first search of the digit automaton from x.
+    """Greedy walk of the digit automaton from x, which is one chain.
 
     Returns the (preperiod, period) of the run that always takes the
     smallest digit leading to an infinite run, or None when x has none.
+    State p steps to t by digit d, where base * p = d * q + t; when t = 0
+    it may step to q by d - 1 instead. q steps only to itself, by base - 1,
+    so that step is taken exactly when both digits are allowed. Every
+    other step is the only one left: the walk ends when its digit is
+    forbidden and closes on the first state it enters twice.
     """
     q, base, allowed = x.denominator, es.base, es.allowed
-
-    def steps(p: int) -> list[tuple[int, int]]:
-        # base * p - d * q lies in [0, q] only for the quotient d, and for
-        # d - 1 too when the remainder is 0; smaller digit first.
-        d, t = divmod(base * p, q)
-        if t:
-            return [(d, t)] if d in allowed else []
-        return [(d, t) for d, t in ((d - 1, q), (d, 0)) if d in allowed]
-
-    start = x.numerator
-    path, digits, todo = [start], [], [iter(steps(start))]
-    position = {start: 0}
-    dead: set[int] = set()
-    while path:
-        for d, t in todo[-1]:
-            if t in position:
-                cut = position[t]
-                return digits[:cut], digits[cut:] + [d]
-            if t not in dead:
-                position[t] = len(path)
-                path.append(t)
-                digits.append(d)
-                todo.append(iter(steps(t)))
-                break
-        else:
-            p = path.pop()
-            del position[p]
-            todo.pop()
-            del digits[-1:]
-            dead.add(p)
-    return None
+    p, digits, position = x.numerator, [], {}
+    while p not in position:
+        position[p] = len(digits)
+        d, p = divmod(base * p, q)
+        if not p and d - 1 in allowed and base - 1 in allowed:
+            d, p = d - 1, q
+        if d not in allowed:
+            return None
+        digits.append(d)
+    cut = position[p]
+    return digits[:cut], digits[cut:]
 
 
 def expansion_membership(es: ExpansionSpec, x: Fraction) -> bool:

@@ -27,7 +27,8 @@ too.
 are the digit automaton as four passes: build every reachable state, peel
 the states with no infinite run, then walk greedily on the smallest digit
 that stays alive. `reference_digits` answers the three digit questions
-with them, the reference for the package's one depth-first search.
+with them, the reference for the package's greedy walk, which reads the
+automaton as one chain and builds no graph.
 """
 
 from collections import Counter, defaultdict

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -293,15 +294,27 @@ def _value_or_error(f, x):
 
 @settings(max_examples=500, deadline=None)
 @given(digit_queries())
+# x = 0 and x = 1 start on 0 and q, each already on the path when its
+# one step (by 0, by base - 1) comes back to it; dead when that digit is
+# forbidden.
 @example((CANTOR_TERNARY, Fraction(0)))
 @example((CANTOR_TERNARY, Fraction(1)))
+@example((ExpansionSpec(3, frozenset({1, 2})), Fraction(0)))
+@example((ExpansionSpec(3, frozenset({0, 1})), Fraction(1)))
+# Remainder 0 with q by d - 1 alive: 1/3 = 0.0222..., and 7/9 = 0.20222...
+# after one step with remainder 3.
 @example((CANTOR_TERNARY, Fraction(1, 3)))
+@example((CANTOR_TERNARY, Fraction(7, 9)))
+# Remainder 0 with q by d - 1 dead (2 is forbidden) and 0 by d alive:
+# 1/3 = 0.1000...
+@example((ExpansionSpec(3, frozenset({0, 1})), Fraction(1, 3)))
+# Remainder 0 with both branches dead: 1/2 steps to the point 1 by digit 1
+# and to 0 by digit 2, and neither digit 3 nor digit 0 is allowed.
+@example((ExpansionSpec(4, frozenset({1, 2})), Fraction(1, 2)))
 @example((CANTOR_TERNARY, Fraction(1, 4)))
 @example((CANTOR_TERNARY, Fraction(1, 2)))
 @example((CANTOR_TERNARY, Fraction(1, 6)))
 @example((CANTOR_TERNARY, Fraction(5, 12)))
-# 1/2 is dead, and so are both its successors 1 and 0.
-@example((ExpansionSpec(4, frozenset({1, 2})), Fraction(1, 2)))
 def test_digit_search_matches_the_four_pass_automaton(query):
     es, x = query
     member, run, _ = reference_digits(es, x)
@@ -310,6 +323,21 @@ def test_digit_search_matches_the_four_pass_automaton(query):
     assert (None if e is None else (list(e.preperiod), list(e.period))) == run
     assert _digit_search(es, x) == run
     assert _value_or_error(cantor_function, x) == _value_or_error(reference_cantor_function, x)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+def test_digit_search_sweep_matches_the_four_pass_automaton(base):
+    """Every allowed set of the base, at every p/q with q <= 30 and every
+    point over c * base**k <= 400, c <= 6, where the remainder-0 branch
+    points lie."""
+    dens = set(range(1, 31)) | {c * base ** k for c in range(1, 7) for k in range(1, 9)
+                                if c * base ** k <= 400}
+    points = sorted({Fraction(p, q) for q in dens for p in range(q + 1)})
+    for size in range(1, base):
+        for allowed in itertools.combinations(range(base), size):
+            es = ExpansionSpec(base, frozenset(allowed))
+            for x in points:
+                assert _digit_search(es, x) == reference_digits(es, x)[1], (es, x)
 
 
 class TestCharacterization:
