@@ -36,15 +36,11 @@ from .constructions import (
     MembershipVerdict,
     Power,
     Proportional,
-    Run,
     Stage,
     Subdivision,
     UndecidedMemberToDepth,
-    initial_stage,
     iterate,
-    kept_runs,
     limit_membership,
-    next_stage,
     stage_membership,
     verdict_is_member,
 )
@@ -89,7 +85,6 @@ __all__ = [
     "Proportional",
     "RenderConfig",
     "ResourceLimitError",
-    "Run",
     "Stage",
     "Subdivision",
     "UndecidedMemberToDepth",
@@ -102,14 +97,11 @@ __all__ = [
     "expansion_characterization",
     "expansion_membership",
     "fraction_str",
-    "initial_stage",
     "iterate",
-    "kept_runs",
     "limit_is_degenerate",
     "limit_measure",
     "limit_membership",
     "max_component_length",
-    "next_stage",
     "parse_fraction",
     "parse_spec",
     "render_svg",

@@ -28,7 +28,6 @@ from .constructions import (
     ConstructionSpec,
     Power,
     Proportional,
-    Subdivision,
     _at_least,
     _grid_stages,
     _kept_grid,
@@ -37,6 +36,7 @@ from .constructions import (
     _removed_at,
     _round,
     _rounds,
+    _self_similar,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import _as_fraction, _is_int
@@ -91,9 +91,7 @@ def limit_measure(spec: ConstructionSpec) -> Fraction:
 
 def limit_is_degenerate(spec: ConstructionSpec) -> bool:
     """True when the process stalls and the limit is a finite point set."""
-    if isinstance(spec, Power):
-        return spec.m == 2
-    return False
+    return isinstance(spec, Power) and spec.m == 2
 
 
 def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
@@ -154,31 +152,6 @@ class DigitExpansion:
         if not self.period:
             raise ValidationError("period must be nonempty")
         _check_digits(self.base, self.preperiod + self.period)
-
-    @classmethod
-    def from_rational(cls, x: Fraction, base: int) -> "DigitExpansion":
-        """Long-division expansion of x in [0, 1].
-
-        Terminating values get a (0,) period; 1 itself is written with the
-        all-(base-1) period since it has no terminating form.
-        """
-        _check_base(base)
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise DomainError(f"expansions are defined on [0, 1], got {_cut(x)}")
-        if x == 1:
-            return cls(base, (), (base - 1,))
-        digits: list[int] = []
-        seen: dict[Fraction, int] = {}
-        r = x
-        while r not in seen:
-            seen[r] = len(digits)
-            r *= base
-            d = int(r)
-            digits.append(d)
-            r -= d
-        cut = seen[r]
-        return cls(base, tuple(digits[:cut]), tuple(digits[cut:]))
 
     @property
     def value(self) -> Fraction:
@@ -302,13 +275,13 @@ CharacterizationVerdict = Characterized | NotCharacterizable | MismatchWitness
 def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdict:
     """Digit filter matching the construction, when one exists.
 
-    Both self-similar families are read over their kept-run table: base d
-    with the run starts as digits matches exactly when every kept run has
-    width 1, so a proportional spec with child ratio 1/b gives the base-b
-    strings over {0, b-1}. Only that natural base is examined; the reason
-    strings say so.
+    A self-similar spec (`_self_similar`) is read over its kept-run table:
+    base d with the run starts as digits matches exactly when every kept
+    run has width 1, so a child ratio 1/b gives the base-b strings over
+    {0, b-1} (`Power(3)`: base 3, {0, 2}). Only that natural base is
+    examined; the reason strings say so.
     """
-    if isinstance(spec, Power):
+    if not _self_similar(spec):
         if spec.m == 2:
             return NotCharacterizable(
                 "the process stalls to a finite point set, which no digit filter matches")
@@ -394,15 +367,15 @@ def characterization_equivalence_check(
     return Characterized(es)
 
 
-def contraction_ratios(spec: Proportional | Subdivision) -> tuple[Fraction, ...]:
+def contraction_ratios(spec: ConstructionSpec) -> tuple[Fraction, ...]:
     """Fixed child/parent ratios of one deletion round."""
-    if isinstance(spec, Power):
-        raise DomainError("power constructions have no fixed child ratios")
+    if not _self_similar(spec):
+        raise DomainError("of the power constructions only base 3 has fixed child ratios")
     d, runs = _kept_grid(spec)
     return tuple(Fraction(b - a, d) for a, b in runs)
 
 
-def similarity_dimension(spec: Proportional | Subdivision) -> float:
+def similarity_dimension(spec: ConstructionSpec) -> float:
     """The unique s in [0, 1] with sum(ratio**s) == 1 over the child ratios.
 
     Bisection in binary64; the left side is strictly decreasing in s, it

@@ -35,10 +35,10 @@ from .constructions import (
     ExcludedAtDepth,
     MemberByCycle,
     MemberByEndpoint,
-    Power,
     UndecidedMemberToDepth,
     _check_depth,
     _grid_stages,
+    _self_similar,
     limit_membership,
     stage_membership,
     verdict_is_member,
@@ -84,7 +84,7 @@ def cmd_analyze(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
         measures.append((sum(length * count for length, count in lengths.items()), den))
         max_lengths.append((max(lengths), den))
     characterization = expansion_characterization(spec)
-    dimension = None if isinstance(spec, Power) else similarity_dimension(spec)
+    dimension = similarity_dimension(spec) if _self_similar(spec) else None
     doc = {
         "spec": _spec_doc(spec),
         "depth": depth,

@@ -17,22 +17,22 @@ Every endpoint of stage k is an integer over one denominator: s**k for a
 proportional spec with child ratio r/s, n**k for a subdivision and
 (2m)**k for a power spec. One integer deletion rule per family
 (`_child_rule`), applied by one round (`_round`) in one loop (`_rounds`),
-builds the stages on that grid (`_grid_stages`) and `next_stage`; the
-census and the renderer give the loop their own step. Only an API that
-returns `Stage`s builds `Fraction`s (`_stage`): one per distinct endpoint,
-set in place in lowest terms from one gcd, shared by every stage that keeps
-it, and checked no further than `_round` checks.
+builds the stages on that grid (`_grid_stages`); the census and the
+renderer give the loop their own step. Only an API that returns `Stage`s
+builds `Fraction`s (`_stage`): one per distinct endpoint, set in place in
+lowest terms from one gcd, shared by every stage that keeps it, and
+checked no further than `_round` checks.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
-subdivision that removes the middle s - 2r parts, so both families are
-read from one table of kept runs (`_kept_grid`).
+subdivision that removes the middle s - 2r parts, and `Power(3)` is the
+middle-thirds set: all are read from one table of kept runs (`_kept_grid`).
 
 The point queries keep one rule: an endpoint is never removed, and a
 descent reports the round that removes x. Rounds are translation invariant,
 so the stage descent (`_removed_at`) keeps x's offset in its component and
 the component's length as integers and applies the rule to [0, length]; the
 power walk (`_power_membership`) does the same on the grid q * (2m)**k. The
-other two families are also scale invariant, so their limit walk tracks x's
+self-similar specs are also scale invariant, so their limit walk tracks x's
 relative position p/q and watches for endpoints, removals and revisited
 states; the part of q prime to d never shrinks, so the visited table is
 cleared whenever that part grows.
@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import (
@@ -61,8 +61,6 @@ MAX_ENUMERATED_INTERVALS = 2 ** 30
 # peaks at 137 MiB, while depth 19 runs out of a 256 MiB address space.
 MAX_BUILT_INTERVALS = 2 ** 18
 DEFAULT_DEPTH_CAP = 10_000
-
-UNIT = ClosedInterval(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -124,15 +122,6 @@ class Subdivision:
 ConstructionSpec = Proportional | Power | Subdivision
 
 
-@dataclass(frozen=True)
-class Run:
-    """Maximal block of consecutive kept part indices."""
-
-    start: int
-    width: int
-    span: tuple[Fraction, Fraction]
-
-
 def _child_ints(spec: Proportional) -> tuple[int, int]:
     """`spec.child_ratio` as (r, s) in lowest terms, without building the Fraction.
 
@@ -144,15 +133,26 @@ def _child_ints(spec: Proportional) -> tuple[int, int]:
     return (b - a) // g, 2 * b // g
 
 
-def _kept_grid(spec: Proportional | Subdivision) -> tuple[int, tuple[tuple[int, int], ...]]:
+# Only m = 3 keeps a constant child ratio r: 2 r**k = r**(k-1) - 1/m**k forces r = 1/m = 1/3.
+_SELF_SIMILAR_POWERS = {3: (3, ((0, 1), (2, 3)))}
+
+
+def _self_similar(spec: ConstructionSpec) -> bool:
+    """Whether the spec has a kept-run table (`_kept_grid`)."""
+    return not isinstance(spec, Power) or spec.m in _SELF_SIMILAR_POWERS
+
+
+def _kept_grid(spec: ConstructionSpec) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(d, ((a, b), ...)): split into d equal parts and keep the runs a..b-1.
 
-    The one place the two self-similar families' geometry is read. The
-    cost does not grow with a subdivision's n.
+    The one place the self-similar specs' geometry is read. The cost does
+    not grow with a subdivision's n.
     """
     if isinstance(spec, Proportional):
         r, s = _child_ints(spec)
         return s, ((0, r), (s - r, s))
+    if isinstance(spec, Power):
+        return _SELF_SIMILAR_POWERS[spec.m]
     runs = []
     start = 0
     for stop in sorted(spec.removed) + [spec.n]:
@@ -160,12 +160,6 @@ def _kept_grid(spec: Proportional | Subdivision) -> tuple[int, tuple[tuple[int, 
             runs.append((start, stop))
         start = stop + 1
     return spec.n, tuple(runs)
-
-
-def kept_runs(spec: Subdivision) -> tuple[Run, ...]:
-    """Kept-part runs with their relative spans inside a unit parent."""
-    d, runs = _kept_grid(spec)
-    return tuple(Run(a, b - a, (Fraction(a, d), Fraction(b, d))) for a, b in runs)
 
 
 @dataclass(frozen=True)
@@ -179,10 +173,6 @@ class Stage:
     index: int
     intervals: IntervalUnion
     stalled: bool = False
-
-
-def initial_stage() -> Stage:
-    return Stage(0, IntervalUnion((UNIT,)))
 
 
 def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
@@ -254,8 +244,7 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
         kids, stop = rule(c, a, b)
         children += kids
         stalled = stalled or stop
-    # Start below the first child: a stage given to `next_stage` may reach below 0.
-    prev = children[0][0] - 1 if children else 0
+    prev = -1
     for a, b in children:
         if not prev < a <= b:
             raise ValidationError(
@@ -326,27 +315,6 @@ def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool,
         ahead[factor * a] = lo
         ahead[factor * b] = hi
     return Stage(index, _trusted_union(tuple(intervals)), stalled), ahead
-
-
-def next_stage(spec: ConstructionSpec, s: Stage) -> Stage:
-    """Apply one deletion round to every non-degenerate component.
-
-    The endpoints are lifted to one denominator; for a power round k it is
-    a multiple of m**(k-1), so the removal lies on the next grid. The
-    children keep the input stage's endpoint `Fraction`s.
-    """
-    if s.stalled:
-        return s
-    factor, rule = _child_rule(spec)
-    scale = spec.m ** s.index if isinstance(spec, Power) else 1
-    den = lcm(scale, *(e.denominator for iv in s.intervals for e in (iv.lo, iv.hi)))
-    pairs = [(iv.lo.numerator * (den // iv.lo.denominator),
-              iv.hi.numerator * (den // iv.hi.denominator)) for iv in s.intervals]
-    known = {}
-    for (a, b), iv in zip(pairs, s.intervals):
-        known[factor * a], known[factor * b] = iv.lo, iv.hi
-    return _stage(s.index + 1, den * factor,
-                  *_round(factor, rule, den // scale, pairs, den), known, factor)[0]
 
 
 def _power_over(branch: int, depth: int, limit: int) -> bool:
@@ -505,7 +473,7 @@ def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVer
     return UndecidedMemberToDepth(depth_cap)
 
 
-def _walk_table(spec: Proportional | Subdivision) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _walk_table(spec: ConstructionSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, ((a, w, w_c, gcd(w, d)), ...)): the kept runs as the walk reads them.
 
     A run [a, a + w) has width w, and w_c is the largest divisor of w prime
@@ -563,7 +531,7 @@ def limit_membership(spec: ConstructionSpec, x: Fraction,
     x = _query_point(x)
     p, q = x.numerator, x.denominator
     _at_least(depth_cap, "depth cap")
-    if isinstance(spec, Power):
+    if not _self_similar(spec):
         return _power_membership(spec, x, depth_cap)
     d, runs = _walk_table(spec)
     dq = gcd(d, q)

@@ -34,7 +34,7 @@ class DomainError(CantorKitError):
 
 
 class ResourceLimitError(CantorKitError):
-    """An enumeration would exceed the configured size limit."""
+    """Refused for size: an enumeration over its bound, out of memory, or the int-string limit."""
     code, status = "resource", 4
 
 

@@ -46,13 +46,6 @@ class ClosedInterval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def covers(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def _cut_interval(iv: ClosedInterval) -> str:
     """[lo, hi] cut as one value, so a message naming two intervals stays under 512 bytes."""

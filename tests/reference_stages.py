@@ -164,7 +164,7 @@ def _own_stages(spec, depth):
         if not stalled:
             nxt = []
             for iv in union:
-                if iv.is_point:
+                if iv.lo == iv.hi:
                     nxt.append((iv.lo, iv.hi))
                     continue
                 pieces, stop = _own_round(spec, k, iv.lo, iv.hi)

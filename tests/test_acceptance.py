@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from cantorkit import (
+    CANTOR_TERNARY,
     Characterized,
     ClosedInterval,
     ExcludedAtDepth,
@@ -143,6 +144,7 @@ def test_06_membership_oracles_agree():
         "c34": ExpansionSpec(8, frozenset({0, 7})),
         "c14": None,
         "ac": None,
+        "svc:3": CANTOR_TERNARY,
         "svc:4": None,
         "svc:5": None,
     }
@@ -174,6 +176,11 @@ def test_06_membership_oracles_agree():
           f"{comparisons} definitive verdicts cross-checked "
           f"({undecided} undecided skipped), {len(disagreements)} disagreements")
     assert not disagreements, disagreements[:5]
+    # svc:3 removes the middle third of every component, so it is C: its
+    # limit walk reads cantor's table while its stage descent runs the power rule.
+    assert characterization_equivalence_check(Power(3), CANTOR_TERNARY, 10) == Characterized(
+        CANTOR_TERNARY)
+    assert expansion_characterization(Power(3)) == Characterized(CANTOR_TERNARY)
 
 
 def test_07_cantor_function_values():

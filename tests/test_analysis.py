@@ -29,7 +29,6 @@ from cantorkit import (
     expansion_membership,
     fraction_str,
     iterate,
-    kept_runs,
     limit_is_degenerate,
     limit_measure,
     limit_membership,
@@ -40,6 +39,7 @@ from cantorkit import (
 )
 from cantorkit.analysis import _digit_search, _length_census
 from cantorkit.cli import cmd_analyze
+from cantorkit.constructions import _kept_grid
 from reference_stages import length_census, reference_cantor_function, reference_digits
 
 
@@ -146,39 +146,32 @@ class TestMaxComponentLength:
 
 
 class TestDigitExpansions:
-    def test_from_rational_basics(self):
-        e = DigitExpansion.from_rational(Fraction(1, 4), 3)
-        assert e.preperiod == () and e.period == (0, 2)
-        assert e.value == Fraction(1, 4)
-
-    def test_terminating(self):
-        e = DigitExpansion.from_rational(Fraction(1, 3), 3)
-        assert e.preperiod == (1,) and e.period == (0,)
-        assert e.value == Fraction(1, 3)
-
-    def test_one(self):
-        e = DigitExpansion.from_rational(Fraction(1), 3)
-        assert e.preperiod == () and e.period == (2,)
-        assert e.value == 1
-
     @pytest.mark.parametrize("make, message", [
         (lambda: ExpansionSpec(3, frozenset()), "at least one digit must be allowed"),
         (lambda: ExpansionSpec(3, frozenset({0, 1, 2})), "at least one digit must be forbidden"),
         (lambda: DigitExpansion(1, (), (0,)), "expansion base must be an integer >= 2, got 1"),
         (lambda: DigitExpansion(3, (1,), ()), "period must be nonempty"),
-        (lambda: DigitExpansion.from_rational(Fraction(1, 2), 1),
-         "expansion base must be an integer >= 2, got 1"),
-    ], ids=["no-digit", "every-digit", "base-1", "empty-period", "from-rational-base-1"])
+    ], ids=["no-digit", "every-digit", "base-1", "empty-period"])
     def test_invalid_expansions_are_refused(self, make, message):
         with pytest.raises(ValidationError) as exc:
             make()
         assert str(exc.value) == message
 
     @settings(max_examples=150, deadline=None)
-    @given(st.fractions(min_value=0, max_value=1, max_denominator=2000),
-           st.integers(min_value=2, max_value=12))
-    def test_round_trip(self, x, base):
-        assert DigitExpansion.from_rational(x, base).value == x
+    @given(st.integers(2, 12).flatmap(lambda base: st.tuples(
+        st.just(base), st.lists(st.integers(0, base - 1), max_size=6),
+        st.lists(st.integers(0, base - 1), min_size=1, max_size=6))))
+    @example((3, [], [0, 2]))  # 1/4
+    @example((3, [1], [0]))  # 1/3, terminating
+    @example((3, [], [2]))  # 1
+    def test_value_sums_the_digits(self, case):
+        # The period repeats forever: its block, read after the preperiod,
+        # is scaled by the geometric series 1 + b**-L + b**-2L + ...
+        base, preperiod, period = case
+        head = sum(Fraction(d, base ** (i + 1)) for i, d in enumerate(preperiod))
+        block = sum(Fraction(d, base ** (len(preperiod) + i + 1)) for i, d in enumerate(period))
+        series = 1 / (1 - Fraction(1, base ** len(period)))
+        assert DigitExpansion(base, preperiod, period).value == head + block * series
 
     def test_membership_examples(self):
         ternary = ExpansionSpec(3, frozenset({0, 2}))
@@ -475,7 +468,7 @@ def _analyze_cases():
     while len(subdivisions) < 12:
         n = rng.randint(4, 9)
         spec = Subdivision(n, frozenset(rng.sample(range(n), rng.randint(1, n - 1))))
-        widths = {run.width for run in kept_runs(spec)}
+        widths = {b - a for a, b in _kept_grid(spec)[1]}
         fresh = spec not in subdivisions and spec not in PRESETS.values()
         if fresh and len(widths) > 1 and len(iterate(spec, 1)[1].intervals) <= 3:
             subdivisions.append(spec)

@@ -897,7 +897,6 @@ class TestEchoedValues:
         (lambda: ExpansionSpec(3, {BIG}), ValidationError),
         (lambda: ExpansionSpec(-BIG, {0}), ValidationError),
         (lambda: DigitExpansion(3, (), (BIG,)), ValidationError),
-        (lambda: DigitExpansion.from_rational(Fraction(BIG), 3), DomainError),
         (lambda: limit_membership(parse_spec("cantor"), Fraction(BIG)), DomainError),
         (lambda: expansion_membership(CANTOR_TERNARY, Fraction(BIG, 3)), DomainError),
         (lambda: cantor_function(Fraction(BIG // 2 + 1, BIG)), DomainError),
@@ -906,7 +905,7 @@ class TestEchoedValues:
         (lambda: ClosedInterval(BIG, 0), ValidationError),
         (lambda: IntervalUnion((ClosedInterval(0, BIG), ClosedInterval(1, 2))), ValidationError),
     ], ids=["proportion", "power-base", "part-count", "removed-index", "expansion-digit",
-            "expansion-base", "period-digit", "from-rational", "limit-membership",
+            "expansion-base", "period-digit", "limit-membership",
             "expansion-membership", "cantor-function", "render-width", "power-base-list",
             "interval", "union"])
     def test_a_library_call_with_a_number_too_long_to_write_raises_its_error(self, call, error):

@@ -19,17 +19,13 @@ from cantorkit import (
     Proportional,
     RenderConfig,
     ResourceLimitError,
-    Run,
     Subdivision,
     UndecidedMemberToDepth,
     ValidationError,
     characterization_equivalence_check,
-    initial_stage,
     iterate,
-    kept_runs,
     limit_membership,
     max_component_length,
-    next_stage,
     parse_spec,
     render_svg,
     stage_measure,
@@ -37,7 +33,7 @@ from cantorkit import (
     verdict_is_member,
 )
 from cantorkit.cli import cmd_analyze, cmd_construct
-from cantorkit.constructions import MAX_BUILT_INTERVALS, _check_depth
+from cantorkit.constructions import MAX_BUILT_INTERVALS, _check_depth, _kept_grid
 from reference_stages import (
     EXPECTED_STAGES,
     _own_stages,
@@ -76,23 +72,17 @@ class TestSpecValidation:
 
 class TestKeptRuns:
     def test_single_removed_part(self):
-        runs = kept_runs(Subdivision(4, frozenset({2})))
-        assert runs == (
-            Run(0, 2, (Fraction(0), Fraction(1, 2))),
-            Run(3, 1, (Fraction(3, 4), Fraction(1))),
-        )
+        assert _kept_grid(Subdivision(4, frozenset({2}))) == (4, ((0, 2), (3, 4)))
 
     def test_middle_third(self):
-        runs = kept_runs(Subdivision(3, frozenset({1})))
-        assert [(r.start, r.width) for r in runs] == [(0, 1), (2, 1)]
+        assert _kept_grid(Subdivision(3, frozenset({1}))) == (3, ((0, 1), (2, 3)))
+        assert _kept_grid(Power(3)) == (3, ((0, 1), (2, 3)))
 
     def test_wide_runs(self):
-        runs = kept_runs(Subdivision(8, frozenset({3, 4})))
-        assert [(r.start, r.width) for r in runs] == [(0, 3), (5, 3)]
+        assert _kept_grid(Subdivision(8, frozenset({3, 4}))) == (8, ((0, 3), (5, 8)))
 
     def test_adjacent_removed_parts_form_one_gap(self):
-        runs = kept_runs(Subdivision(5, frozenset({2, 3})))
-        assert [(r.start, r.width) for r in runs] == [(0, 2), (4, 1)]
+        assert _kept_grid(Subdivision(5, frozenset({2, 3}))) == (5, ((0, 2), (4, 5)))
 
     def test_matches_a_scan_of_every_part(self):
         rng = random.Random(4181)
@@ -107,49 +97,40 @@ class TestKeptRuns:
                     runs[-1][1] += 1
                 else:
                     runs.append([i, 1])
-            got = kept_runs(Subdivision(n, removed))
-            assert [[r.start, r.width] for r in got] == runs
-            assert all(r.span == (Fraction(r.start, n), Fraction(r.start + r.width, n))
-                       for r in got)
+            d, got = _kept_grid(Subdivision(n, removed))
+            assert d == n and [[a, b - a] for a, b in got] == runs
 
     def test_cost_does_not_grow_with_the_part_count(self):
-        runs = kept_runs(Subdivision(10 ** 7, frozenset({1})))
-        assert [(r.start, r.width) for r in runs] == [(0, 1), (2, 10 ** 7 - 2)]
+        runs = _kept_grid(Subdivision(10 ** 7, frozenset({1})))[1]
+        assert runs == ((0, 1), (2, 10 ** 7))
 
 
-class TestNextStage:
+class TestRounds:
     def test_first_middle_thirds_round(self):
-        s1 = next_stage(Proportional(Fraction(1, 3)), initial_stage())
+        s1 = iterate(Proportional(Fraction(1, 3)), 1)[1]
         assert s1.index == 1 and not s1.stalled
         assert s1.intervals == table(EXPECTED_STAGES["cantor"][1])
 
     def test_subdivision_round_merges_adjacent_kept_parts(self):
-        spec = Subdivision(4, frozenset({2}))
-        s1 = next_stage(spec, initial_stage())
-        assert s1.intervals == table(EXPECTED_STAGES["ac"][1])
-        s2 = next_stage(spec, s1)
-        assert s2.intervals == table(EXPECTED_STAGES["ac"][2])
+        stages = iterate(Subdivision(4, frozenset({2})), 2)
+        assert stages[1].intervals == table(EXPECTED_STAGES["ac"][1])
+        assert stages[2].intervals == table(EXPECTED_STAGES["ac"][2])
 
     def test_power_round_uses_step_indexed_removal(self):
-        spec = Power(4)
-        s1 = next_stage(spec, initial_stage())
-        assert s1.intervals == table(EXPECTED_STAGES["svc:4"][1])
-        s2 = next_stage(spec, s1)
-        assert s2.intervals == table(EXPECTED_STAGES["svc:4"][2])
+        stages = iterate(Power(4), 2)
+        assert stages[1].intervals == table(EXPECTED_STAGES["svc:4"][1])
+        assert stages[2].intervals == table(EXPECTED_STAGES["svc:4"][2])
 
     def test_power_stall_leaves_degenerate_endpoints(self):
-        spec = Power(2)
-        s1 = next_stage(spec, initial_stage())
-        s2 = next_stage(spec, s1)
-        assert s2.stalled
-        assert s2.intervals == table(EXPECTED_STAGES["svc:2"][2])
+        stages = iterate(Power(2), 3)
+        assert stages[2].stalled
+        assert stages[2].intervals == table(EXPECTED_STAGES["svc:2"][2])
         # a stalled stage is a fixed point
-        assert next_stage(spec, s2) is s2
+        assert stages[3] is stages[2]
 
     def test_removed_edge_part_leaves_the_boundary_point(self):
         # the deleted span is open, so the component edge survives alone
-        spec = Subdivision(3, frozenset({0}))
-        s1 = next_stage(spec, initial_stage())
+        s1 = iterate(Subdivision(3, frozenset({0})), 1)[1]
         assert s1.intervals == IntervalUnion(
             (ClosedInterval(0, 0), ClosedInterval(Fraction(1, 3), 1)))
 

@@ -1,7 +1,7 @@
 """The integer-grid stage kernel against plain `Fraction` definitions.
 
 Every stage path (construct, render, the characterization check and
-`next_stage`) runs on integer endpoints over the family grid. Each is
+`iterate`) runs on integer endpoints over the family grid. Each is
 compared here with the same output worked out in `Fraction`s from the
 test's own stage definition (`_own_stages`), which does not use the
 package's deletion rule.
@@ -35,16 +35,14 @@ from cantorkit import (
     characterization_equivalence_check,
     expansion_characterization,
     fraction_str,
-    initial_stage,
     iterate,
-    next_stage,
     parse_spec,
     render_svg,
 )
 from cantorkit import constructions
 from cantorkit.cli import cmd_analyze, cmd_construct
 from cantorkit.spec_io import PRESETS
-from reference_stages import _own_round, _own_stages, normalize, specs_with_depth, table
+from reference_stages import _own_stages, normalize, specs_with_depth
 
 
 EDGE_CASES = [(Power(2), 6), (Subdivision(3, frozenset({0})), 6),
@@ -256,70 +254,21 @@ def _assert_stages_built_as_checked(stages, own):
     assert len({id(e) for e in ends}) == len(set(ends))
 
 
-def _check_iterate_and_chain(spec, depth):
-    """`iterate` and a `next_stage` chain both equal `_own_stages`, built as checked."""
-    own = _own_stages(spec, depth)
-    _assert_stages_built_as_checked(iterate(spec, depth), own)
-    chain = [initial_stage()]
-    for _ in range(depth):
-        chain.append(next_stage(spec, chain[-1]))
-    _assert_stages_built_as_checked(chain, own)
+def _check_iterate(spec, depth):
+    """`iterate` equals `_own_stages`, built as checked."""
+    _assert_stages_built_as_checked(iterate(spec, depth), _own_stages(spec, depth))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + [f"svc:{m}" for m in range(2, 8)])
 def test_unchecked_stages_equal_the_checked_ones(name):
-    _check_iterate_and_chain(parse_spec(name), 8)
+    _check_iterate(parse_spec(name), 8)
 
 
 @settings(max_examples=80, deadline=None)
 @given(specs_with_depth())
 @with_edge_cases
-def test_next_stage_chain_matches_iterate(case):
-    _check_iterate_and_chain(*case)
-
-
-@st.composite
-def off_grid_stages(draw):
-    spec = draw(st.sampled_from([parse_spec(name) for name in sorted(PRESETS)]
-                                + [Power(m) for m in range(2, 7)]))
-    ends = draw(st.lists(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=8))
-    ends = sorted(set(ends))
-    pairs = [(ends[i], ends[min(i + 1, len(ends) - 1)]) for i in range(0, len(ends), 2)]
-    return spec, Stage(draw(st.integers(0, 4)),
-                       IntervalUnion(tuple(ClosedInterval(lo, hi) for lo, hi in pairs)))
-
-
-# A stage given to `next_stage` may reach below 0, so new endpoints may
-# have negative numerators.
-BELOW_ZERO = Stage(1, IntervalUnion((ClosedInterval(Fraction(-7, 5), Fraction(-1, 5)),
-                                      ClosedInterval(Fraction(-1, 10), Fraction(-1, 10)),
-                                      ClosedInterval(Fraction(0), Fraction(2, 3)))))
-
-
-@settings(max_examples=80, deadline=None)
-@given(off_grid_stages())
-@example((parse_spec("ac"), BELOW_ZERO))
-@example((parse_spec("c14"), BELOW_ZERO))
-@example((Power(3), BELOW_ZERO))
-def test_next_stage_on_a_stage_off_the_family_grid(case):
-    # A power removal at least as long as its component leaves the two
-    # endpoints and stalls the process.
-    spec, stage = case
-    k = stage.index + 1
-    pieces, stalled = [], False
-    for iv in stage.intervals:
-        if iv.is_point:
-            pieces.append((iv.lo, iv.hi))
-        elif isinstance(spec, Power) and Fraction(1, spec.m ** k) >= iv.length:
-            pieces += [(iv.lo, iv.lo), (iv.hi, iv.hi)]
-            stalled = True
-        else:
-            out, stop = _own_round(spec, k, iv.lo, iv.hi)
-            pieces += out
-            stalled = stalled or stop
-    result = next_stage(spec, stage)
-    assert result == Stage(k, table(pieces), stalled)
-    _assert_public_fractions(result)
+def test_iterate_matches_the_fraction_stages(case):
+    _check_iterate(*case)
 
 
 def test_stage_paths_build_no_intervals(monkeypatch):
@@ -354,7 +303,6 @@ def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
     monkeypatch.setattr(constructions, "_child_rule",
                         lambda spec: (3, lambda c, a, b: (children(a, b), False)))
     for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
-                  lambda s: render_svg(s, RenderConfig(depth=2)),
-                  lambda s: next_stage(s, initial_stage()), lambda s: cmd_analyze(s, 2)):
+                  lambda s: render_svg(s, RenderConfig(depth=2)), lambda s: cmd_analyze(s, 2)):
         with pytest.raises(ValidationError, match="out of order, overlapping or touching the interval before it"):
             build(parse_spec("cantor"))
