@@ -151,7 +151,8 @@ class TestDigitExpansions:
         (lambda: ExpansionSpec(3, frozenset({0, 1, 2})), "at least one digit must be forbidden"),
         (lambda: DigitExpansion(1, (), (0,)), "expansion base must be an integer >= 2, got 1"),
         (lambda: DigitExpansion(3, (1,), ()), "period must be nonempty"),
-    ], ids=["no-digit", "every-digit", "base-1", "empty-period"])
+        (lambda: ExpansionSpec(1, frozenset({0})), "expansion base must be an integer >= 2, got 1"),
+    ], ids=["no-digit", "every-digit", "base-1", "empty-period", "spec-base-1"])
     def test_invalid_expansions_are_refused(self, make, message):
         with pytest.raises(ValidationError) as exc:
             make()

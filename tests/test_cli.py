@@ -31,6 +31,7 @@ from cantorkit import (
     ResourceLimitError,
     Subdivision,
     ValidationError,
+    allowed_expansion,
     cantor_function,
     characterization_equivalence_check,
     emit_spec,
@@ -259,6 +260,18 @@ class TestAnalyze:
         assert "characterization: base 3, digits {0, 2}" in text
         assert "similarity dimension: " in text
 
+    def test_svc3_is_characterized_as_cantor(self):
+        # Power(3) removes the middle third of every component, so it has
+        # cantor's maps, and its characterization and dimension are cantor's.
+        lines = [[line for line in cmd_analyze(parse_spec(name), 4).splitlines()
+                  if line.startswith(("characterization: ", "similarity dimension: "))]
+                 for name in ("svc:3", "cantor")]
+        assert lines[0] == lines[1] and len(lines[0]) == 2
+        svc3, cantor = (json.loads(cmd_analyze(parse_spec(name), 4, fmt="json"))
+                        for name in ("svc:3", "cantor"))
+        for key in ("characterization", "similarity_dimension"):
+            assert svc3[key] == cantor[key]
+
 
 class TestMember:
     def test_json_doc(self):
@@ -294,6 +307,17 @@ class TestMember:
     def test_text(self, spec, x, cap, verdict, stage):
         text = cmd_member(parse_spec(spec), x, cap)
         assert text == f"x: {fraction_str(x)}\nverdict: {verdict}\nstage check ({stage}"
+
+    @pytest.mark.parametrize("x", ["1/4", "3/4", "1/10", "1/2", "7/9"])
+    def test_svc3_answers_as_cantor(self, x):
+        # Every field but the echoed spec is cantor's.
+        svc3, cantor = (cmd_member(parse_spec(name), Fraction(x)) for name in ("svc:3", "cantor"))
+        assert svc3 == cantor
+        svc3, cantor = (json.loads(cmd_member(parse_spec(name), Fraction(x), fmt="json"))
+                        for name in ("svc:3", "cantor"))
+        assert svc3.pop("spec") == {"type": "power", "m": 3}
+        assert cantor.pop("spec") == {"type": "proportional", "p": "1/3"}
+        assert svc3 == cantor
 
 
 class TestRenderSvg:
@@ -897,6 +921,7 @@ class TestEchoedValues:
         (lambda: ExpansionSpec(3, {BIG}), ValidationError),
         (lambda: ExpansionSpec(-BIG, {0}), ValidationError),
         (lambda: DigitExpansion(3, (), (BIG,)), ValidationError),
+        (lambda: allowed_expansion(CANTOR_TERNARY, Fraction(BIG)), DomainError),
         (lambda: limit_membership(parse_spec("cantor"), Fraction(BIG)), DomainError),
         (lambda: expansion_membership(CANTOR_TERNARY, Fraction(BIG, 3)), DomainError),
         (lambda: cantor_function(Fraction(BIG // 2 + 1, BIG)), DomainError),
@@ -905,7 +930,7 @@ class TestEchoedValues:
         (lambda: ClosedInterval(BIG, 0), ValidationError),
         (lambda: IntervalUnion((ClosedInterval(0, BIG), ClosedInterval(1, 2))), ValidationError),
     ], ids=["proportion", "power-base", "part-count", "removed-index", "expansion-digit",
-            "expansion-base", "period-digit", "limit-membership",
+            "expansion-base", "period-digit", "allowed-expansion", "limit-membership",
             "expansion-membership", "cantor-function", "render-width", "power-base-list",
             "interval", "union"])
     def test_a_library_call_with_a_number_too_long_to_write_raises_its_error(self, call, error):
