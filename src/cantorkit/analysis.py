@@ -344,7 +344,8 @@ def characterization_equivalence_check(
     differs and an explicit rational in the symmetric difference. Level k
     compares integer pairs: the stage over its grid and the closure of the
     points whose first k digits can all be allowed, as merged runs over
-    base**k, both lifted to the least common denominator.
+    base**k, both lifted to the least common denominator; a side already
+    over it is compared as it is.
     """
     _at_least(depth, "comparison depth", 1)
     if _power_over(len(es.allowed), depth, MAX_BUILT_INTERVALS):
@@ -360,8 +361,9 @@ def characterization_equivalence_check(
         scale *= es.base
         common = lcm(den, scale)
         up, cells = common // den, common // scale
-        stage_set = [(lo * up, hi * up) for lo, hi in pairs]
-        digit_set = [(lo * cells, hi * cells) for lo, hi in _prefix_runs(prefixes)]
+        runs = _prefix_runs(prefixes)
+        stage_set = pairs if up == 1 else [(lo * up, hi * up) for lo, hi in pairs]
+        digit_set = runs if cells == 1 else [(lo * cells, hi * cells) for lo, hi in runs]
         if stage_set != digit_set:
             return MismatchWitness(d, _separating_point(stage_set, digit_set, common))
     return Characterized(es)

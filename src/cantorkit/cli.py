@@ -37,7 +37,7 @@ from .constructions import (
     MemberByEndpoint,
     UndecidedMemberToDepth,
     _check_depth,
-    _grid_stages,
+    _endpoint_stages,
     _self_similar,
     limit_membership,
     stage_membership,
@@ -51,19 +51,18 @@ from .spec_io import _ratio_str, _spec_doc, emit_spec, fraction_str, parse_fract
 def cmd_construct(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
     """Stages 0..depth; text is one line per stage, JSON nested fraction pairs.
 
-    Endpoints are written straight from the integer grid, one gcd each.
+    Endpoints are written straight from the integer grid, each distinct one
+    once (`_endpoint_stages`).
     """
-    stages = _grid_stages(spec, depth)
+    stages = _endpoint_stages(spec, depth, _ratio_str)
     if fmt == "json":
-        return json.dumps([[[_ratio_str(a, den), _ratio_str(b, den)] for a, b in pairs]
-                           for den, pairs, _ in stages])
-    lines = []
-    for den, pairs, stalled in stages:
-        line = " ∪ ".join(f"[{_ratio_str(a, den)}, {_ratio_str(b, den)}]" for a, b in pairs)
-        if stalled:
-            line += " [stalled]"
-        lines.append(line)
-    return "\n".join(lines)
+        # An endpoint is digits and "/", which json.dumps writes as it is.
+        return "[%s]" % ", ".join(
+            "[%s]" % ", ".join(f'["{lo}", "{hi}"]' for lo, hi in ends)
+            for _, (_, ends), _ in stages)
+    return "\n".join(
+        " ∪ ".join(f"[{lo}, {hi}]" for lo, hi in ends)
+        + (" [stalled]" if stalled else "") for _, (_, ends), stalled in stages)
 
 
 def _characterization_doc(verdict) -> dict:

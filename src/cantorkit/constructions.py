@@ -18,10 +18,13 @@ proportional spec with child ratio r/s, n**k for a subdivision and
 (2m)**k for a power spec. One integer deletion rule per family
 (`_child_rule`), applied by one round (`_round`) in one loop (`_rounds`),
 builds the stages on that grid (`_grid_stages`); the census and the
-renderer give the loop their own step. Only an API that returns `Stage`s
-builds `Fraction`s (`_stage`): one per distinct endpoint, set in place in
-lowest terms from one gcd, shared by every stage that keeps it, and
-checked no further than `_round` checks.
+renderer give the loop their own step. A round calls the rule once per
+distinct component length, since every family cuts a component the same
+way wherever it lies. A path that writes endpoints walks them once
+(`_endpoint_stages`): each distinct endpoint is made once, as a `Fraction`
+for `iterate` or a string for `construct`, and shared by every stage that
+keeps it; the `Fraction`s are set in place in lowest terms from one gcd
+and checked no further than `_round` checks.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, and `Power(3)` is the
@@ -52,13 +55,15 @@ from .exact import (
     _as_fraction,
     _is_int,
     _new,
-    _set,
+    _set_hi,
+    _set_lo,
     _trusted_union,
 )
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
 # A built stage of 2**18 components fits: `construct cantor --depth 18`
-# peaks at 137 MiB, while depth 19 runs out of a 256 MiB address space.
+# peaks at 178 MiB as text and 159 MiB as JSON, while depth 19 runs out of
+# a 256 MiB address space.
 MAX_BUILT_INTERVALS = 2 ** 18
 DEFAULT_DEPTH_CAP = 10_000
 
@@ -162,7 +167,7 @@ def _kept_grid(spec: ConstructionSpec) -> tuple[int, tuple[tuple[int, int], ...]
     return spec.n, tuple(runs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stage:
     """One construction stage: its index, surviving set, and stall flag.
 
@@ -227,23 +232,41 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     return d, rule
 
 
+# A point is a component of length 0; its one child is itself.
+_POINT_CHILDREN = ((0, 0),)
+
+
 def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
            den: int) -> tuple[list[tuple[int, int]], bool]:
     """One deletion round: the children over den * factor of the pairs over den.
 
-    The only place the rule meets a list of components. Degenerate points
-    ride along, the round stalls when the rule says so for any component,
+    The only place the rule meets a list of components. Every family's rule
+    is shift invariant: it scales a and b by factor and cuts at offsets
+    that depend on b - a (and on c) alone, so the children of [a, b] are
+    factor * a plus the children of [0, b - a]. The rule is therefore
+    called once per distinct length in the round, and each component takes
+    its length's children shifted into place; a point is length 0 and
+    rides along. The round stalls when the rule says so for any length,
     and it is refused when its children are out of order, overlap or touch.
     """
-    children: list[tuple[int, int]] = []
+    cut: dict = {}
     stalled = False
+    children: list[tuple[int, int]] = []
     for a, b in pairs:
-        if a == b:
-            children.append((factor * a, factor * a))
-            continue
-        kids, stop = rule(c, a, b)
-        children += kids
-        stalled = stalled or stop
+        kids = cut.get(b - a)
+        if kids is None:
+            if a == b:
+                kids = _POINT_CHILDREN
+            else:
+                kids, stop = rule(c, 0, b - a)
+                stalled = stalled or stop
+            cut[b - a] = kids
+        if a:
+            shift = factor * a
+            for u, v in kids:
+                children.append((shift + u, shift + v))
+        else:
+            children += kids
     prev = -1
     for a, b in children:
         if not prev < a <= b:
@@ -278,43 +301,39 @@ def _grid_stages(spec: ConstructionSpec, depth: int) -> Iterator[tuple]:
     return _rounds(spec, depth, [(0, 1)])
 
 
-def _stage(index: int, den: int, pairs: list[tuple[int, int]], stalled: bool,
-           known: dict[int, Fraction], factor: int) -> tuple[Stage, dict[int, Fraction]]:
-    """The `Stage` whose components are the integer pairs over den.
+def _endpoint_stages(spec: ConstructionSpec, depth: int, make: Callable) -> Iterator[tuple]:
+    """Stages 0..depth as `(den, (pairs, ends), stalled)`, refused before any round by `_check_depth`.
 
-    `known` maps a numerator over den to the `Fraction` already built for
-    it; only the other endpoints get a new one, and a point shares one
-    between its ends. Returns the stage and that map for the next grid,
-    den * factor. The pairs come from `_round`, which refused them unless
-    prev < a <= b on integers over den > 0: that is lo <= hi and
-    prev.hi < lo on the `Fraction`s, what the public constructors check,
-    so the intervals and the union are built in place without checking again.
-    A new endpoint a/den is set as (a // g, den // g), g = gcd(a, den) > 0:
-    lowest terms over a positive denominator, the one state `Fraction.__new__`
-    leaves. `_numerator` and `_denominator` are the two `__slots__` of
-    `Fraction` on Python 3.10-3.13, the two that 3.12's private
-    `Fraction._from_coprime_ints` sets.
+    `ends` holds each pair's two endpoints as `make(numerator, den)` made
+    them, and each distinct endpoint is made once. Endpoints are never
+    removed: a parent [l, r] over den is [factor * l, factor * r] over
+    den * factor, its children lie in that span, and the spans of distinct
+    parents are apart. So a child end equal to factor * l or factor * r is
+    its parent's end, known already; the walk steps through the parents
+    beside their children and makes only the other ends. A point's two ends
+    are one value. Each stage is walked when the caller asks for it, so a
+    value that `make` refuses stops the walk before the next round.
     """
-    intervals = []
-    ahead: dict[int, Fraction] = {}
-    for a, b in pairs:
-        lo = known.get(a)
-        if lo is None:
-            g = gcd(a, den)
-            lo = _new(Fraction)
-            lo._numerator, lo._denominator = a // g, den // g
-        hi = lo if a == b else known.get(b)
-        if hi is None:
-            g = gcd(b, den)
-            hi = _new(Fraction)
-            hi._numerator, hi._denominator = b // g, den // g
-        iv = _new(ClosedInterval)
-        _set(iv, "lo", lo)
-        _set(iv, "hi", hi)
-        intervals.append(iv)
-        ahead[factor * a] = lo
-        ahead[factor * b] = hi
-    return Stage(index, _trusted_union(tuple(intervals)), stalled), ahead
+    _check_depth(spec, depth, MAX_BUILT_INTERVALS)
+
+    def step(factor, rule, c, state, den):
+        pairs, ends = state
+        children, stalled = _round(factor, rule, c, pairs, den)
+        den *= factor
+        made = []
+        parents = zip(pairs, ends)
+        right = -1
+        for a, b in children:
+            while b > right:
+                (left, right), (first, last) = next(parents)
+                left *= factor
+                right *= factor
+            lo = first if a == left else last if a == right else make(a, den)
+            hi = lo if a == b else last if b == right else make(b, den)
+            made.append((lo, hi))
+        return (children, made), stalled
+
+    return _rounds(spec, depth, ([(0, 1)], [(make(0, 1), make(1, 1))]), step)
 
 
 def _power_over(branch: int, depth: int, limit: int) -> bool:
@@ -351,17 +370,41 @@ def _check_depth(spec: ConstructionSpec, depth: int, limit: int) -> None:
             f"over the limit of {limit}")
 
 
+def _fraction(a: int, den: int) -> Fraction:
+    """a/den (den > 0) as a `Fraction` set in place from one gcd.
+
+    It is set as (a // g, den // g), g = gcd(a, den) > 0: lowest terms over
+    a positive denominator, the one state `Fraction.__new__` leaves.
+    `_numerator` and `_denominator` are the two `__slots__` of `Fraction`
+    on Python 3.10-3.13, the two that 3.12's private
+    `Fraction._from_coprime_ints` sets.
+    """
+    g = gcd(a, den)
+    f = _new(Fraction)
+    f._numerator, f._denominator = a // g, den // g
+    return f
+
+
 def iterate(spec: ConstructionSpec, depth: int) -> list[Stage]:
-    """Stages 0..depth; a stalled stage repeats. Refused upfront by `_check_depth`."""
-    factor = _child_rule(spec)[0]
+    """Stages 0..depth; a stalled stage repeats. Refused upfront by `_check_depth`.
+
+    The pairs come from `_round`, which refused them unless prev < a <= b
+    on integers over den > 0: that is lo <= hi and prev.hi < lo on the
+    `Fraction`s, what the public constructors check, so the intervals and
+    the union are built in place without checking again.
+    """
     stages: list[Stage] = []
-    known: dict[int, Fraction] = {}
-    for den, pairs, stalled in _grid_stages(spec, depth):
+    for _, (_, ends), stalled in _endpoint_stages(spec, depth, _fraction):
         if stages and stages[-1].stalled:
             stages.append(stages[-1])
-        else:
-            stage, known = _stage(len(stages), den, pairs, stalled, known, factor)
-            stages.append(stage)
+            continue
+        intervals = []
+        for lo, hi in ends:
+            iv = _new(ClosedInterval)
+            _set_lo(iv, lo)
+            _set_hi(iv, hi)
+            intervals.append(iv)
+        stages.append(Stage(len(stages), _trusted_union(tuple(intervals)), stalled))
     return stages
 
 

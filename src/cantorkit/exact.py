@@ -24,7 +24,7 @@ def _as_fraction(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ClosedInterval:
     """Closed interval [lo, hi]. lo == hi is allowed and marks a single point."""
 
@@ -52,7 +52,7 @@ def _cut_interval(iv: ClosedInterval) -> str:
     return _cut(f"[{_written(iv.lo, str)}, {_written(iv.hi, str)}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalUnion:
     """Strictly increasing, pairwise separated closed intervals.
 
@@ -116,7 +116,10 @@ class IntervalUnion:
 
 
 _new = object.__new__
-_set = object.__setattr__
+# The slot descriptors set a field of a frozen instance without its checks.
+_set_lo = ClosedInterval.lo.__set__
+_set_hi = ClosedInterval.hi.__set__
+_set_intervals = IntervalUnion.intervals.__set__
 
 
 def _trusted_union(intervals: tuple[ClosedInterval, ...]) -> IntervalUnion:
@@ -126,6 +129,5 @@ def _trusted_union(intervals: tuple[ClosedInterval, ...]) -> IntervalUnion:
     increasing and pairwise separated.
     """
     u = _new(IntervalUnion)
-    _set(u, "intervals", intervals)
+    _set_intervals(u, intervals)
     return u
-

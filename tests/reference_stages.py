@@ -12,7 +12,13 @@ touch; `table` builds a union from (lo, hi) pairs with it, and
 
 `_own_stages` builds any stage in `Fraction`s straight from the family
 definitions, without the package's deletion rule, so the package's
-integer-grid kernel can be tested against it. `_stage_membership` is the
+integer-grid kernel can be tested against it. `per_component_round` is the
+deletion round with the rule applied to every component where it lies, the
+reference for the package's round, which calls the rule once per distinct
+length and shifts the children into place. `reference_construct` writes
+`construct`'s text and JSON endpoint by endpoint, every stage's endpoints
+formatted anew and the JSON by `json.dumps`, the reference for the
+package's writer, which formats each distinct endpoint once. `_stage_membership` is the
 stage descent in absolute coordinates, with its own exits for a point
 component and a stalling round, the reference for the package's descent
 in x's offset and its component's length. `_power_membership` is the
@@ -31,6 +37,7 @@ with them, the reference for the package's greedy walk, which reads the
 automaton as one chain and builds no graph.
 """
 
+import json
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd
@@ -50,8 +57,10 @@ from cantorkit import (
     Proportional,
     Subdivision,
     UndecidedMemberToDepth,
+    ValidationError,
 )
-from cantorkit.constructions import _child_rule, _kept_grid
+from cantorkit.constructions import _child_rule, _grid_stages, _kept_grid
+from cantorkit.spec_io import _ratio_str
 
 
 def normalize(intervals) -> IntervalUnion:
@@ -173,6 +182,48 @@ def _own_stages(spec, depth):
             union = table(nxt)
         out.append((union, stalled))
     return out
+
+
+def per_component_round(factor, rule, c, pairs, den):
+    """One deletion round with the rule applied to each component where it lies.
+
+    Same contract as the package's `_round`: the children over den * factor
+    of the pairs over den, the stall flag, and the same refusal of children
+    out of order, overlapping or touching.
+    """
+    children = []
+    stalled = False
+    for a, b in pairs:
+        if a == b:
+            children.append((factor * a, factor * a))
+            continue
+        kids, stop = rule(c, a, b)
+        children += kids
+        stalled = stalled or stop
+    prev = -1
+    for a, b in children:
+        if not prev < a <= b:
+            raise ValidationError(
+                f"deletion round left [{Fraction(a, den * factor)}, "
+                f"{Fraction(b, den * factor)}] out of order, overlapping or touching "
+                "the interval before it")
+        prev = b
+    return children, stalled
+
+
+def reference_construct(spec, depth, fmt):
+    """`construct`'s output with every endpoint of every stage formatted anew."""
+    stages = _grid_stages(spec, depth)
+    if fmt == "json":
+        return json.dumps([[[_ratio_str(a, den), _ratio_str(b, den)] for a, b in pairs]
+                           for den, pairs, _ in stages])
+    lines = []
+    for den, pairs, stalled in stages:
+        line = " ∪ ".join(f"[{_ratio_str(a, den)}, {_ratio_str(b, den)}]" for a, b in pairs)
+        if stalled:
+            line += " [stalled]"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def _stage_membership(spec, x: Fraction, depth: int) -> bool:

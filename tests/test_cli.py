@@ -817,22 +817,28 @@ class TestOutputIntegerLimit:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_construct_refuses_at_the_first_stage_it_cannot_write(self, monkeypatch, fmt):
         # Stage 2 of this spec lies over n**2, an 8000-digit integer; the
-        # stages after it are never built.
-        rounds = []
-        real_round = constructions._round
+        # stages after it are never built. Round k calls the rule with
+        # c = 2**(k-1) (the depth check's call has c = 1 too), so the c
+        # values the rule sees are the rounds taken.
+        seen = set()
+        real_child_rule = constructions._child_rule
 
-        def counting(*args):
-            rounds.append(1)
-            return real_round(*args)
+        def watched_child_rule(spec):
+            factor, rule = real_child_rule(spec)
 
-        monkeypatch.setattr(constructions, "_round", counting)
+            def watched(c, a, b):
+                seen.add(c)
+                return rule(c, a, b)
+            return factor, watched
+
+        monkeypatch.setattr(constructions, "_child_rule", watched_child_rule)
         doc = '{"type": "subdivision", "n": %s, "removed": [1, 3, 5, 7]}' % ("9" * 4000)
         result = run_main(["construct", "--spec", doc, "--depth", "6", "--format", fmt])
         assert result[0] == 4
         assert assert_error_line(result, "resource") == (
             "output fraction holds a 8000-digit integer, "
             f"over the limit of {sys.get_int_max_str_digits()} digits")
-        assert len(rounds) <= 2
+        assert seen == {1, 2}
 
     def test_render_and_member_still_answer(self):
         assert run_main(["render", "--spec", HUGE_BASE, "--depth", "3"])[0] == 0

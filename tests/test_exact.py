@@ -1,11 +1,14 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantorkit import ClosedInterval, IntervalUnion, ValidationError
+from cantorkit import ClosedInterval, IntervalUnion, Stage, ValidationError
 from reference_stages import normalize
 from reference_stages import table as iu
 
@@ -23,6 +26,61 @@ class TestClosedInterval:
     def test_coercion(self):
         iv = ClosedInterval(0, 1)
         assert iv.lo == Fraction(0) and isinstance(iv.lo, Fraction)
+
+
+class TestSlottedValues:
+    """The value classes keep their fields in slots and behave as frozen dataclasses."""
+
+    IV = ClosedInterval(Fraction(1, 3), Fraction(2, 3))
+    UNION = IntervalUnion((ClosedInterval(0, 0), IV))
+    STAGE = Stage(2, UNION, True)
+
+    @pytest.mark.parametrize("value", [IV, UNION, STAGE], ids=type)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == type(value).__match_args__
+
+    @pytest.mark.parametrize("value, field", [(IV, "lo"), (IV, "hi"), (UNION, "intervals"),
+                                              (STAGE, "index"), (STAGE, "stalled")])
+    def test_a_field_cannot_be_assigned(self, value, field):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, field)
+
+    def test_repr_and_match_args(self):
+        assert repr(self.IV) == "ClosedInterval(lo=Fraction(1, 3), hi=Fraction(2, 3))"
+        assert repr(self.STAGE) == (
+            "Stage(index=2, intervals=IntervalUnion(intervals=(ClosedInterval(lo=Fraction(0, 1), "
+            "hi=Fraction(0, 1)), ClosedInterval(lo=Fraction(1, 3), hi=Fraction(2, 3)))), "
+            "stalled=True)")
+        assert ClosedInterval.__match_args__ == ("lo", "hi")
+        assert IntervalUnion.__match_args__ == ("intervals",)
+        assert Stage.__match_args__ == ("index", "intervals", "stalled")
+        match self.STAGE:
+            case Stage(2, IntervalUnion((ClosedInterval(lo, hi), _)), True):
+                assert lo == hi == 0
+            case _:
+                pytest.fail("the stage did not match its fields")
+
+    def test_equality_hash_and_order(self):
+        same = ClosedInterval(Fraction(2, 6), Fraction(4, 6))
+        assert same == self.IV and hash(same) == hash(self.IV) == hash((same.lo, same.hi))
+        assert self.UNION == IntervalUnion((ClosedInterval(0, 0), same))
+        assert hash(self.UNION) == hash((self.UNION.intervals,))
+        assert self.STAGE == Stage(2, IntervalUnion(self.UNION.intervals), True)
+        assert hash(self.STAGE) == hash((2, self.UNION, True))
+        assert self.STAGE != Stage(2, self.UNION)
+        assert ClosedInterval(0, 1) < ClosedInterval(0, 2) < ClosedInterval(Fraction(1, 2), 1)
+        assert ClosedInterval(0, 1) <= ClosedInterval(0, 1) and not self.IV > self.IV
+        assert sorted([self.IV, ClosedInterval(0, 0)]) == list(self.UNION)
+
+    @pytest.mark.parametrize("value", [IV, UNION, STAGE, IntervalUnion()], ids=repr)
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                      copy.copy(value)):
+            assert clone == value and type(clone) is type(value)
+            assert repr(clone) == repr(value)
 
 
 class TestNormalize:

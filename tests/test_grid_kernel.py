@@ -41,8 +41,15 @@ from cantorkit import (
 )
 from cantorkit import constructions
 from cantorkit.cli import cmd_analyze, cmd_construct
+from cantorkit.constructions import _child_rule, _grid_stages, _round
 from cantorkit.spec_io import PRESETS
-from reference_stages import _own_stages, normalize, specs_with_depth
+from reference_stages import (
+    _own_stages,
+    normalize,
+    per_component_round,
+    reference_construct,
+    specs_with_depth,
+)
 
 
 EDGE_CASES = [(Power(2), 6), (Subdivision(3, frozenset({0})), 6),
@@ -67,6 +74,103 @@ def test_construct_matches_the_fraction_stages(case):
     assert cmd_construct(spec, depth, "text") == "\n".join(
         " ∪ ".join(f"[{lo}, {hi}]" for lo, hi in stage) + (" [stalled]" if stalled else "")
         for stage, (_, stalled) in zip(pairs, own))
+    # Each distinct endpoint is formatted once and the JSON is joined by
+    # hand; the bytes are those of formatting every endpoint of every stage
+    # and of json.dumps.
+    for fmt in ("text", "json"):
+        assert cmd_construct(spec, depth, fmt) == reference_construct(spec, depth, fmt)
+
+
+@pytest.mark.parametrize("spec", [parse_spec(name) for name in sorted(PRESETS)]
+                         + [parse_spec(f"svc:{m}") for m in range(2, 7)]
+                         + [spec for spec, _ in EDGE_CASES], ids=str)
+def test_each_round_of_the_stages_matches_the_per_component_round(spec):
+    # svc:2 stalls at round 2; the edge-point subdivisions carry points.
+    factor, rule = _child_rule(spec)
+    stages = list(_grid_stages(spec, 5))
+    for k, ((den, pairs, stalled), (_, after, _)) in enumerate(zip(stages, stages[1:])):
+        if stalled:
+            break
+        got = _round(factor, rule, 2 ** k, pairs, den)
+        assert got == per_component_round(factor, rule, 2 ** k, pairs, den)
+        assert got[0] == after
+
+
+@st.composite
+def separated_pairs(draw):
+    """Ordered, pairwise separated integer pairs, points among them."""
+    pairs, start = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        start += draw(st.integers(0, 4))
+        length = draw(st.sampled_from([0, 0, 1, 1, 2, 3, 5, 8, 12]))
+        pairs.append((start, start + length))
+        start += length + 1
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_with_depth(), st.integers(1, 64), separated_pairs())
+@example((Power(2), 2), 2, [(0, 1), (3, 4)])
+@example((Subdivision(3, frozenset({0})), 2), 2, [(0, 0), (1, 3)])
+@example((Subdivision(5, frozenset({0, 4})), 2), 2, [(0, 0), (1, 4), (5, 5)])
+def test_round_matches_the_per_component_round(case, c, pairs):
+    # The first example is svc:2's stalling round 2 from its stage 1.
+    factor, rule = _child_rule(case[0])
+    assert _round(factor, rule, c, pairs, 7) == per_component_round(factor, rule, c, pairs, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_with_depth(), st.integers(1, 64), st.integers(0, 50), st.integers(1, 50))
+@example((Power(2), 2), 2, 3, 1)
+@example((Subdivision(5, frozenset({0, 4})), 2), 1, 7, 3)
+def test_every_rule_is_shift_invariant(case, c, a, length):
+    # The children of [a, a + length] are factor * a plus those of [0, length].
+    factor, rule = _child_rule(case[0])
+    kids, stop = rule(c, 0, length)
+    shift = factor * a
+    assert rule(c, a, a + length) == ([(shift + u, shift + v) for u, v in kids], stop)
+
+
+def _watch_the_rule(monkeypatch):
+    """Record (c, length) for every call of the family rule."""
+    calls = []
+    real_child_rule = constructions._child_rule
+
+    def watched_child_rule(spec):
+        factor, rule = real_child_rule(spec)
+
+        def watched(c, a, b):
+            calls.append((c, b - a))
+            return rule(c, a, b)
+        return factor, watched
+
+    monkeypatch.setattr(constructions, "_child_rule", watched_child_rule)
+    return calls
+
+
+def test_iterate_calls_the_rule_once_per_round_on_cantor(monkeypatch):
+    # Every component of a cantor stage is 1 over its grid 3**k: the depth
+    # check's branch count, then one call for each of the 8 rounds.
+    calls = _watch_the_rule(monkeypatch)
+    iterate(parse_spec("cantor"), 8)
+    assert calls == [(1, 1)] + [(2 ** k, 1) for k in range(8)]
+
+
+@pytest.mark.parametrize("name", ["cantor", "ac", "ac5b", "svc:2", "svc:4", "c34"])
+def test_a_stage_path_calls_the_rule_once_per_distinct_length(monkeypatch, name):
+    spec = parse_spec(name)
+    stages = list(_grid_stages(spec, 6))
+    stall = next((k for k, (_, _, stalled) in enumerate(stages) if stalled), 6)
+    # Round k + 1 cuts each distinct length of stage k once, with c = 2**k.
+    want = [(2 ** k, length) for k, (_, pairs, _) in enumerate(stages[:stall])
+            for length in sorted({b - a for a, b in pairs if b > a}, reverse=True)]
+    calls = _watch_the_rule(monkeypatch)
+    for build in (lambda: iterate(spec, 6), lambda: cmd_construct(spec, 6, "text"),
+                  lambda: cmd_construct(spec, 6, "json")):
+        calls.clear()
+        build()
+        assert calls[0] == (1, 1)  # the depth check's branch count
+        assert sorted(calls[1:], key=lambda call: (call[0], -call[1])) == want
 
 
 def _own_svg(spec, depth, width, row_height, label):
