@@ -18,13 +18,13 @@ proportional spec with child ratio r/s, n**k for a subdivision and
 (2m)**k for a power spec. One integer deletion rule per family
 (`_child_rule`), applied by one round (`_round`) in one loop (`_rounds`),
 builds the stages on that grid (`_grid_stages`); the census and the
-renderer give the loop their own step. A round calls the rule once per
-distinct component length, since every family cuts a component the same
-way wherever it lies. A path that writes endpoints walks them once
-(`_endpoint_stages`): each distinct endpoint is made once, as a `Fraction`
-for `iterate` or a string for `construct`, and shared by every stage that
-keeps it; the `Fraction`s are set in place in lowest terms from one gcd
-and checked no further than `_round` checks.
+renderer give the loop their own step. The rule cuts [0, length], so a
+round calls it once per distinct component length and shifts the children
+into place, checking each as it places it. A path that writes endpoints
+walks them once (`_endpoint_stages`): each distinct endpoint is made once,
+as a `Fraction` for `iterate` or a string for `construct`, and shared by
+every stage that keeps it; the `Fraction`s are set in place in lowest terms
+from one gcd and checked no further than `_round` checks.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, and `Power(3)` is the
@@ -53,11 +53,11 @@ from .exact import (
     ClosedInterval,
     IntervalUnion,
     _as_fraction,
+    _frozen,
     _is_int,
     _new,
     _set_hi,
     _set_lo,
-    _trusted_union,
 )
 
 MAX_ENUMERATED_INTERVALS = 2 ** 30
@@ -167,6 +167,7 @@ def _kept_grid(spec: ConstructionSpec) -> tuple[int, tuple[tuple[int, int], ...]
     return spec.n, tuple(runs)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Stage:
     """One construction stage: its index, surviving set, and stall flag.
@@ -183,11 +184,13 @@ class Stage:
 def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     """The family's deletion round on integers: `(D, rule)`.
 
-    `rule(c, a, b) -> (children, stalled)` takes a non-degenerate component
-    [a/den, b/den] and returns its children as ordered, pairwise separated
+    `rule(c, length) -> (children, stalled)` takes a non-degenerate component
+    [0, length/den] and returns its children as ordered, pairwise separated
     integer pairs over den * D; an edge point left behind by an open
-    removal comes out as (e, e). D is s for a child ratio r/s, n for a
-    subdivision and 2m for a power spec, so stage k lies on the grid D**k.
+    removal comes out as (e, e). Every family cuts a component by its
+    length alone, so the children of [a, b] are D * a plus those of
+    [0, b - a]. D is s for a child ratio r/s, n for a subdivision and 2m
+    for a power spec, so stage k lies on the grid D**k.
     `c` matters to the power family only: it is den / m**(k-1) at round k,
     which makes the removal 1/m**k equal 2c on the next grid (c = 2**(k-1)
     on the family grid). `stalled` is true when the round freezes the
@@ -197,37 +200,34 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     stall.
     """
     if isinstance(spec, Proportional):
-        # Not read from `_kept_grid`: both children share the one product
-        # r * (b - a), while the table takes one per run edge and a list
-        # built per call. On integers the table path measured 1.8-2.5x
-        # slower building cantor, c14 and c34 stages at depth 13, and mostly
-        # 1.1-1.4x slower in construct and render (best of 9, interleaved).
+        # Not read from `_kept_grid`: the stage descent (`_removed_at`)
+        # calls the rule every round, and the table rule, with one product
+        # per run edge and a list built per call, is slower there.
         r, s = _child_ints(spec)
 
-        def rule(c: int, a: int, b: int):
-            lo, hi, step = s * a, s * b, r * (b - a)
-            return [(lo, lo + step), (hi - step, hi)], False
+        def rule(c: int, length: int):
+            hi, step = s * length, r * length
+            return [(0, step), (hi - step, hi)], False
         return s, rule
     if isinstance(spec, Power):
         m = spec.m
         d = 2 * m
 
-        def rule(c: int, a: int, b: int):
-            lo, hi, half = d * a, d * b, m * (b - a) - c
+        def rule(c: int, length: int):
+            hi, half = d * length, m * length - c
             if half > 0:
-                return [(lo, lo + half), (hi - half, hi)], False
-            return [(lo, lo), (hi, hi)], True
+                return [(0, half), (hi - half, hi)], False
+            return [(0, 0), (hi, hi)], True
         return d, rule
     d, runs = _kept_grid(spec)
     left_point = runs[0][0] > 0
     right_point = runs[-1][1] < d
 
-    def rule(c: int, a: int, b: int):
-        lo, length = d * a, b - a
-        children = [(lo, lo)] if left_point else []
-        children.extend((lo + u * length, lo + v * length) for u, v in runs)
+    def rule(c: int, length: int):
+        children = [(0, 0)] if left_point else []
+        children.extend((u * length, v * length) for u, v in runs)
         if right_point:
-            children.append((d * b, d * b))
+            children.append((d * length, d * length))
         return children, False
     return d, rule
 
@@ -240,41 +240,37 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
            den: int) -> tuple[list[tuple[int, int]], bool]:
     """One deletion round: the children over den * factor of the pairs over den.
 
-    The only place the rule meets a list of components. Every family's rule
-    is shift invariant: it scales a and b by factor and cuts at offsets
-    that depend on b - a (and on c) alone, so the children of [a, b] are
-    factor * a plus the children of [0, b - a]. The rule is therefore
-    called once per distinct length in the round, and each component takes
-    its length's children shifted into place; a point is length 0 and
-    rides along. The round stalls when the rule says so for any length,
-    and it is refused when its children are out of order, overlap or touch.
+    The only place the rule meets a list of components. The rule cuts
+    [0, length], so it is called once per distinct length in the round, and
+    each component [a, b] takes its length's children shifted by factor * a;
+    a point is length 0 and rides along. Each child is checked as it is
+    placed: the round is refused at the first child out of order,
+    overlapping or touching the one before it. The round stalls when the
+    rule says so for any length.
     """
     cut: dict = {}
     stalled = False
     children: list[tuple[int, int]] = []
+    prev = -1
     for a, b in pairs:
         kids = cut.get(b - a)
         if kids is None:
             if a == b:
                 kids = _POINT_CHILDREN
             else:
-                kids, stop = rule(c, 0, b - a)
+                kids, stop = rule(c, b - a)
                 stalled = stalled or stop
             cut[b - a] = kids
-        if a:
-            shift = factor * a
-            for u, v in kids:
-                children.append((shift + u, shift + v))
-        else:
-            children += kids
-    prev = -1
-    for a, b in children:
-        if not prev < a <= b:
-            raise ValidationError(
-                f"deletion round left [{Fraction(a, den * factor)}, "
-                f"{Fraction(b, den * factor)}] out of order, overlapping or touching "
-                "the interval before it")
-        prev = b
+        shift = factor * a
+        for u, v in kids:
+            lo, hi = shift + u, shift + v
+            if not prev < lo <= hi:
+                raise ValidationError(
+                    f"deletion round left [{Fraction(lo, den * factor)}, "
+                    f"{Fraction(hi, den * factor)}] out of order, overlapping or touching "
+                    "the interval before it")
+            children.append((lo, hi))
+            prev = hi
     return children, stalled
 
 
@@ -363,7 +359,7 @@ def _check_depth(spec: ConstructionSpec, depth: int, limit: int) -> None:
     a stalling construction past the limit is refused as well.
     """
     _at_least(depth, "depth")
-    branch = len(_child_rule(spec)[1](1, 0, 1)[0])
+    branch = len(_child_rule(spec)[1](1, 1)[0])
     if _power_over(branch, depth, limit):
         raise ResourceLimitError(
             f"stage {depth} could hold up to {branch}**{depth} intervals, "
@@ -404,7 +400,9 @@ def iterate(spec: ConstructionSpec, depth: int) -> list[Stage]:
             _set_lo(iv, lo)
             _set_hi(iv, hi)
             intervals.append(iv)
-        stages.append(Stage(len(stages), _trusted_union(tuple(intervals)), stalled))
+        union = _new(IntervalUnion)
+        IntervalUnion.intervals.__set__(union, tuple(intervals))
+        stages.append(Stage(len(stages), union, stalled))
     return stages
 
 
@@ -420,7 +418,7 @@ def _removed_at(spec: ConstructionSpec, x: Fraction, depth: int) -> int:
     for k in range(1, depth + 1):
         if r == 0 or r == w:
             return 0
-        children = rule(c, 0, w)[0]
+        children = rule(c, w)[0]
         r *= factor
         c *= 2
         for a, b in children:

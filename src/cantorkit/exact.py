@@ -8,7 +8,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import ValidationError, _cut, _written
@@ -24,6 +24,24 @@ def _as_fraction(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _frozen(cls: type) -> type:
+    """`cls` refusing to assign or delete any name, as a frozen dataclass does.
+
+    The `__setattr__` and `__delattr__` that `dataclass(frozen=True)`
+    writes name the class that `slots=True` then replaces, so for a name
+    that is not a field they end in a `TypeError` from `super()`.
+    """
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, order=True, slots=True)
 class ClosedInterval:
     """Closed interval [lo, hi]. lo == hi is allowed and marks a single point."""
@@ -52,6 +70,7 @@ def _cut_interval(iv: ClosedInterval) -> str:
     return _cut(f"[{_written(iv.lo, str)}, {_written(iv.hi, str)}]")
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class IntervalUnion:
     """Strictly increasing, pairwise separated closed intervals.
@@ -119,15 +138,3 @@ _new = object.__new__
 # The slot descriptors set a field of a frozen instance without its checks.
 _set_lo = ClosedInterval.lo.__set__
 _set_hi = ClosedInterval.hi.__set__
-_set_intervals = IntervalUnion.intervals.__set__
-
-
-def _trusted_union(intervals: tuple[ClosedInterval, ...]) -> IntervalUnion:
-    """The union of `intervals` built without `__post_init__`.
-
-    Only for a tuple the caller has already shown to be strictly
-    increasing and pairwise separated.
-    """
-    u = _new(IntervalUnion)
-    _set_intervals(u, intervals)
-    return u

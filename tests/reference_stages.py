@@ -13,9 +13,10 @@ touch; `table` builds a union from (lo, hi) pairs with it, and
 `_own_stages` builds any stage in `Fraction`s straight from the family
 definitions, without the package's deletion rule, so the package's
 integer-grid kernel can be tested against it. `per_component_round` is the
-deletion round with the rule applied to every component where it lies, the
-reference for the package's round, which calls the rule once per distinct
-length and shifts the children into place. `reference_construct` writes
+deletion round with the rule called for every component, its children
+shifted to the component and checked in a second pass, the reference for
+the package's round, which calls the rule once per distinct length and
+checks each child as it places it. `reference_construct` writes
 `construct`'s text and JSON endpoint by endpoint, every stage's endpoints
 formatted anew and the JSON by `json.dumps`, the reference for the
 package's writer, which formats each distinct endpoint once. `_stage_membership` is the
@@ -185,10 +186,12 @@ def _own_stages(spec, depth):
 
 
 def per_component_round(factor, rule, c, pairs, den):
-    """One deletion round with the rule applied to each component where it lies.
+    """One deletion round, the rule called once for every component.
 
-    Same contract as the package's `_round`: the children over den * factor
-    of the pairs over den, the stall flag, and the same refusal of children
+    The rule cuts [0, length]; the children of [a, b] are factor * a plus
+    those of [0, b - a], checked after the whole round is placed. Same
+    contract as the package's `_round`: the children over den * factor of
+    the pairs over den, the stall flag, and the same refusal of children
     out of order, overlapping or touching.
     """
     children = []
@@ -197,8 +200,8 @@ def per_component_round(factor, rule, c, pairs, den):
         if a == b:
             children.append((factor * a, factor * a))
             continue
-        kids, stop = rule(c, a, b)
-        children += kids
+        kids, stop = rule(c, b - a)
+        children += [(factor * a + u, factor * a + v) for u, v in kids]
         stalled = stalled or stop
     prev = -1
     for a, b in children:
@@ -229,8 +232,9 @@ def reference_construct(spec, depth, fmt):
 def _stage_membership(spec, x: Fraction, depth: int) -> bool:
     """Whether x survives `depth` rounds, by a descent in absolute coordinates.
 
-    The component [lo, hi] over den stays on the family grid, and x = u/q
-    lies in it when lo*q <= u*den <= hi*q. The descent stops at a point
+    The component [lo, hi] over den stays on the family grid, its children
+    are those of [0, hi - lo] shifted by factor * lo, and x = u/q lies in it
+    when lo*q <= u*den <= hi*q. The descent stops at a point
     component and after a stalling round.
     """
     q, u = x.denominator, x.numerator
@@ -241,12 +245,13 @@ def _stage_membership(spec, x: Fraction, depth: int) -> bool:
     for _ in range(depth):
         if lo == hi:
             return True
-        children, stalled = rule(c, lo, hi)
+        children, stalled = rule(c, hi - lo)
+        shift = factor * lo
         u *= factor
         c *= 2
         for a, b in children:
-            if a * q <= u <= b * q:
-                lo, hi = a, b
+            if (shift + a) * q <= u <= (shift + b) * q:
+                lo, hi = shift + a, shift + b
                 break
         else:
             return False

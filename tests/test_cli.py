@@ -826,9 +826,9 @@ class TestOutputIntegerLimit:
         def watched_child_rule(spec):
             factor, rule = real_child_rule(spec)
 
-            def watched(c, a, b):
+            def watched(c, length):
                 seen.add(c)
-                return rule(c, a, b)
+                return rule(c, length)
             return factor, watched
 
         monkeypatch.setattr(constructions, "_child_rule", watched_child_rule)

@@ -41,11 +41,13 @@ class TestSlottedValues:
         assert type(value).__slots__ == type(value).__match_args__
 
     @pytest.mark.parametrize("value, field", [(IV, "lo"), (IV, "hi"), (UNION, "intervals"),
-                                              (STAGE, "index"), (STAGE, "stalled")])
+                                              (STAGE, "index"), (STAGE, "stalled"),
+                                              (IV, "extra"), (UNION, "extra"), (STAGE, "extra")])
     def test_a_field_cannot_be_assigned(self, value, field):
-        with pytest.raises(FrozenInstanceError):
+        # A name that is not a field is refused the same way.
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
             setattr(value, field, 0)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
             delattr(value, field)
 
     def test_repr_and_match_args(self):

@@ -119,18 +119,6 @@ def test_round_matches_the_per_component_round(case, c, pairs):
     assert _round(factor, rule, c, pairs, 7) == per_component_round(factor, rule, c, pairs, 7)
 
 
-@settings(max_examples=200, deadline=None)
-@given(specs_with_depth(), st.integers(1, 64), st.integers(0, 50), st.integers(1, 50))
-@example((Power(2), 2), 2, 3, 1)
-@example((Subdivision(5, frozenset({0, 4})), 2), 1, 7, 3)
-def test_every_rule_is_shift_invariant(case, c, a, length):
-    # The children of [a, a + length] are factor * a plus those of [0, length].
-    factor, rule = _child_rule(case[0])
-    kids, stop = rule(c, 0, length)
-    shift = factor * a
-    assert rule(c, a, a + length) == ([(shift + u, shift + v) for u, v in kids], stop)
-
-
 def _watch_the_rule(monkeypatch):
     """Record (c, length) for every call of the family rule."""
     calls = []
@@ -139,9 +127,9 @@ def _watch_the_rule(monkeypatch):
     def watched_child_rule(spec):
         factor, rule = real_child_rule(spec)
 
-        def watched(c, a, b):
-            calls.append((c, b - a))
-            return rule(c, a, b)
+        def watched(c, length):
+            calls.append((c, length))
+            return rule(c, length)
         return factor, watched
 
     monkeypatch.setattr(constructions, "_child_rule", watched_child_rule)
@@ -398,14 +386,14 @@ def test_stage_paths_build_no_intervals(monkeypatch):
 
 
 @pytest.mark.parametrize("children", [
-    lambda a, b: [(3 * a, 3 * a + 2 * (b - a)), (3 * a + (b - a), 3 * b)],
-    lambda a, b: [(3 * a, 3 * a + (b - a)), (3 * a + (b - a), 3 * b)],
-    lambda a, b: [(3 * a + (b - a), 3 * a)],
+    lambda length: [(0, 2 * length), (length, 3 * length)],
+    lambda length: [(0, length), (length, 3 * length)],
+    lambda length: [(length, 0)],
 ], ids=["overlap", "touch", "reversed"])
 def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
     # Only the constructions module reads the rule; every other path steps through it.
     monkeypatch.setattr(constructions, "_child_rule",
-                        lambda spec: (3, lambda c, a, b: (children(a, b), False)))
+                        lambda spec: (3, lambda c, length: (children(length), False)))
     for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
                   lambda s: render_svg(s, RenderConfig(depth=2)), lambda s: cmd_analyze(s, 2)):
         with pytest.raises(ValidationError, match="out of order, overlapping or touching the interval before it"):
