@@ -37,13 +37,13 @@ from .constructions import (
     _round,
     _rounds,
     _self_similar,
+    _stall_round,
 )
 from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
 from .exact import _as_fraction, _is_int
 
 
-def _census_round(factor: int, rule: Callable, c: int, census: Counter,
-                  den: int) -> tuple[Counter, bool]:
+def _census_round(factor: int, rule: Callable, c: int, census: Counter, den: int) -> Counter:
     """One round on integer component lengths over den, with multiplicities.
 
     Every family's round is translation invariant, so the children of a
@@ -51,13 +51,10 @@ def _census_round(factor: int, rule: Callable, c: int, census: Counter,
     distinct length L, to [0, L], and the stage itself is never built.
     """
     nxt: Counter = Counter()
-    stalled = False
     for length, count in census.items():
-        children, stop = _round(factor, rule, c, [(0, length)], den)
-        stalled = stalled or stop
-        for a, b in children:
+        for a, b in _round(factor, rule, c, [(0, length)], den):
             nxt[b - a] += count
-    return nxt, stalled
+    return nxt
 
 
 def _length_census(spec: ConstructionSpec, n: int) -> Iterator[tuple[int, Counter, bool]]:
@@ -84,14 +81,14 @@ def limit_measure(spec: ConstructionSpec) -> Fraction:
     leaving (m - 3) / (m - 2); at m = 2 the round-2 removal exactly
     exhausts the components and only finitely many points survive.
     """
-    if not isinstance(spec, Power) or spec.m == 2:
+    if not isinstance(spec, Power) or limit_is_degenerate(spec):
         return Fraction(0)
     return Fraction(spec.m - 3, spec.m - 2)
 
 
 def limit_is_degenerate(spec: ConstructionSpec) -> bool:
-    """True when the process stalls and the limit is a finite point set."""
-    return isinstance(spec, Power) and spec.m == 2
+    """True when the process stalls (`_stall_round`) and the limit is a finite point set."""
+    return _stall_round(spec) is not None
 
 
 def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
@@ -282,7 +279,7 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
     examined; the reason strings say so.
     """
     if not _self_similar(spec):
-        if spec.m == 2:
+        if limit_is_degenerate(spec):
             return NotCharacterizable(
                 "the process stalls to a finite point set, which no digit filter matches")
         return NotCharacterizable(

@@ -83,8 +83,7 @@ class Proportional:
     @property
     def child_ratio(self) -> Fraction:
         """Each of the two children is this fraction of its parent."""
-        a, b = self.p.as_integer_ratio()
-        return Fraction(b - a, 2 * b)
+        return Fraction(*_child_ints(self))
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ class Stage:
 def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     """The family's deletion round on integers: `(D, rule)`.
 
-    `rule(c, length) -> (children, stalled)` takes a non-degenerate component
+    `rule(c, length) -> children` takes a non-degenerate component
     [0, length/den] and returns its children as ordered, pairwise separated
     integer pairs over den * D; an edge point left behind by an open
     removal comes out as (e, e). Every family cuts a component by its
@@ -193,11 +192,8 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     for a power spec, so stage k lies on the grid D**k.
     `c` matters to the power family only: it is den / m**(k-1) at round k,
     which makes the removal 1/m**k equal 2c on the next grid (c = 2**(k-1)
-    on the family grid). `stalled` is true when the round freezes the
-    process: a power removal as long as the component leaves only its two
-    endpoints. No removal is longer: from [0, 1] the round-(k-1) length
-    never drops below 1/m**k, and it equals it only at m = 2, k = 2, the
-    stall.
+    on the family grid). A removal as long as its component
+    (`_stall_round`) leaves its two ends, (0, 0) and (D * length, D * length).
     """
     if isinstance(spec, Proportional):
         # Not read from `_kept_grid`: the stage descent (`_removed_at`)
@@ -207,7 +203,7 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
 
         def rule(c: int, length: int):
             hi, step = s * length, r * length
-            return [(0, step), (hi - step, hi)], False
+            return [(0, step), (hi - step, hi)]
         return s, rule
     if isinstance(spec, Power):
         m = spec.m
@@ -215,9 +211,7 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
 
         def rule(c: int, length: int):
             hi, half = d * length, m * length - c
-            if half > 0:
-                return [(0, half), (hi - half, hi)], False
-            return [(0, 0), (hi, hi)], True
+            return [(0, half), (hi - half, hi)]
         return d, rule
     d, runs = _kept_grid(spec)
     left_point = runs[0][0] > 0
@@ -228,7 +222,7 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
         children.extend((u * length, v * length) for u, v in runs)
         if right_point:
             children.append((d * length, d * length))
-        return children, False
+        return children
     return d, rule
 
 
@@ -236,8 +230,19 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
 _POINT_CHILDREN = ((0, 0),)
 
 
+def _stall_round(spec: ConstructionSpec) -> int | None:
+    """The round after which the spec is frozen: 2 for `Power(2)`, else None.
+
+    Only a power round can take a component's whole interior: round k
+    removes 1/m**k, and from [0, 1] the round-(k-1) length
+    2**-(k-1) * (1 - sum_{j<k} 2**(j-1) / m**j) never drops below it for an
+    integer m >= 2. The two are equal only at m = 2, k = 2: four points.
+    """
+    return 2 if isinstance(spec, Power) and spec.m == 2 else None
+
+
 def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
-           den: int) -> tuple[list[tuple[int, int]], bool]:
+           den: int) -> list[tuple[int, int]]:
     """One deletion round: the children over den * factor of the pairs over den.
 
     The only place the rule meets a list of components. The rule cuts
@@ -245,21 +250,15 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
     each component [a, b] takes its length's children shifted by factor * a;
     a point is length 0 and rides along. Each child is checked as it is
     placed: the round is refused at the first child out of order,
-    overlapping or touching the one before it. The round stalls when the
-    rule says so for any length.
+    overlapping or touching the one before it.
     """
     cut: dict = {}
-    stalled = False
     children: list[tuple[int, int]] = []
     prev = -1
     for a, b in pairs:
         kids = cut.get(b - a)
         if kids is None:
-            if a == b:
-                kids = _POINT_CHILDREN
-            else:
-                kids, stop = rule(c, b - a)
-                stalled = stalled or stop
+            kids = _POINT_CHILDREN if a == b else rule(c, b - a)
             cut[b - a] = kids
         shift = factor * a
         for u, v in kids:
@@ -271,24 +270,26 @@ def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
                     "the interval before it")
             children.append((lo, hi))
             prev = hi
-    return children, stalled
+    return children
 
 
 def _rounds(spec: ConstructionSpec, depth: int, state, step: Callable = _round) -> Iterator[tuple]:
     """Rounds 0..depth as `(den, state, stalled)`, each taken when the caller asks.
 
-    `step(factor, rule, c, state, den) -> (state, stalled)` takes a state
-    over den to the next, over den * factor; `_round` is the step on pairs.
-    A stalled state repeats as the same entry, so its den stays put.
+    `step(factor, rule, c, state, den) -> state` takes a state over den to
+    the next, over den * factor; `_round` is the step on pairs. No step is
+    taken after the round `_stall_round` names: from that round on the
+    state is stalled and repeats as the same entry, so its den stays put.
     """
     factor, rule = _child_rule(spec)
-    den, c, stalled = 1, 1, False
-    yield den, state, stalled
-    for _ in range(depth):
-        if not stalled:
-            state, stalled = step(factor, rule, c, state, den)
+    frozen = _stall_round(spec) or depth + 1
+    den, c = 1, 1
+    yield den, state, False
+    for k in range(1, depth + 1):
+        if k <= frozen:
+            state = step(factor, rule, c, state, den)
             den, c = den * factor, 2 * c
-        yield den, state, stalled
+        yield den, state, k >= frozen
 
 
 def _grid_stages(spec: ConstructionSpec, depth: int) -> Iterator[tuple]:
@@ -314,7 +315,7 @@ def _endpoint_stages(spec: ConstructionSpec, depth: int, make: Callable) -> Iter
 
     def step(factor, rule, c, state, den):
         pairs, ends = state
-        children, stalled = _round(factor, rule, c, pairs, den)
+        children = _round(factor, rule, c, pairs, den)
         den *= factor
         made = []
         parents = zip(pairs, ends)
@@ -327,7 +328,7 @@ def _endpoint_stages(spec: ConstructionSpec, depth: int, make: Callable) -> Iter
             lo = first if a == left else last if a == right else make(a, den)
             hi = lo if a == b else last if b == right else make(b, den)
             made.append((lo, hi))
-        return (children, made), stalled
+        return children, made
 
     return _rounds(spec, depth, ([(0, 1)], [(make(0, 1), make(1, 1))]), step)
 
@@ -359,7 +360,7 @@ def _check_depth(spec: ConstructionSpec, depth: int, limit: int) -> None:
     a stalling construction past the limit is refused as well.
     """
     _at_least(depth, "depth")
-    branch = len(_child_rule(spec)[1](1, 1)[0])
+    branch = len(_child_rule(spec)[1](1, 1))
     if _power_over(branch, depth, limit):
         raise ResourceLimitError(
             f"stage {depth} could hold up to {branch}**{depth} intervals, "
@@ -418,7 +419,7 @@ def _removed_at(spec: ConstructionSpec, x: Fraction, depth: int) -> int:
     for k in range(1, depth + 1):
         if r == 0 or r == w:
             return 0
-        children = rule(c, w)[0]
+        children = rule(c, w)
         r *= factor
         c *= 2
         for a, b in children:
@@ -492,7 +493,7 @@ def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVer
     over q * (2m)**(k-1), and t = 2**(k-1) * q. On the next grid the offset
     is 2m * r, the component's centre m * w and the removal 1/m**k spans
     2t around it, so each child is m * w - t long. A removal as long as its
-    component (m = 2, k = 2; none is longer, see `_child_rule`) leaves
+    component (m = 2, k = 2; none is longer, see `_stall_round`) leaves
     children of length 0, and the open interval then takes the whole
     interior.
     """

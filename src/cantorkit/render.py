@@ -38,6 +38,20 @@ _BAR_GAP = 6
 
 @dataclass(frozen=True)
 class RenderConfig:
+    """How `render_svg` lays out a diagram.
+
+    * `width_px`: the document width in pixels, an int of at least 100; a
+      10 px margin on each side and, with `label`, a 36 px label gutter
+      come out of it.
+    * `row_height_px`: the height of each stage's row in pixels, an int of
+      at least 8; its bars are 6 px shorter.
+    * `depth`: the last stage drawn, an int of at least 0, so stages
+      0..depth give depth + 1 rows; `render_svg` refuses a depth whose
+      stage could hold over `MAX_ENUMERATED_INTERVALS` components.
+    * `label`: when true, each row is labelled with its stage index in the
+      gutter; the rows after a stall repeat the stalled stage's index.
+    """
+
     width_px: int = 800
     row_height_px: int = 24
     depth: int = 4
@@ -67,7 +81,7 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
 
     def step(factor, rule, c, state, den):
         # The round, then the collapse: each pair kept with its (x, width).
-        pairs, stalled = _round(factor, rule, c, state[0], den)
+        pairs = _round(factor, rule, c, state[0], den)
         den, twice = den * factor, 2 * den * factor
         kept, spans, point_at = [], [], None
         for a, b in pairs:
@@ -80,7 +94,7 @@ def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> st
                 point_at, b = x0, a
             kept.append((a, b))
             spans.append((x0, max(1, x1 - x0)))
-        return (kept, spans), stalled
+        return kept, spans
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -20,8 +20,8 @@ checks each child as it places it. `reference_construct` writes
 `construct`'s text and JSON endpoint by endpoint, every stage's endpoints
 formatted anew and the JSON by `json.dumps`, the reference for the
 package's writer, which formats each distinct endpoint once. `_stage_membership` is the
-stage descent in absolute coordinates, with its own exits for a point
-component and a stalling round, the reference for the package's descent
+stage descent in absolute coordinates, with its own exit for a point
+component, the reference for the package's descent
 in x's offset and its component's length. `_power_membership` is the
 power family's limit-membership walk in `Fraction`s, the reference for the
 package's integer walk. `_self_similar_membership` is the proportional and
@@ -191,18 +191,15 @@ def per_component_round(factor, rule, c, pairs, den):
     The rule cuts [0, length]; the children of [a, b] are factor * a plus
     those of [0, b - a], checked after the whole round is placed. Same
     contract as the package's `_round`: the children over den * factor of
-    the pairs over den, the stall flag, and the same refusal of children
-    out of order, overlapping or touching.
+    the pairs over den, and the same refusal of children out of order,
+    overlapping or touching.
     """
     children = []
-    stalled = False
     for a, b in pairs:
         if a == b:
             children.append((factor * a, factor * a))
             continue
-        kids, stop = rule(c, b - a)
-        children += [(factor * a + u, factor * a + v) for u, v in kids]
-        stalled = stalled or stop
+        children += [(factor * a + u, factor * a + v) for u, v in rule(c, b - a)]
     prev = -1
     for a, b in children:
         if not prev < a <= b:
@@ -211,7 +208,7 @@ def per_component_round(factor, rule, c, pairs, den):
                 f"{Fraction(b, den * factor)}] out of order, overlapping or touching "
                 "the interval before it")
         prev = b
-    return children, stalled
+    return children
 
 
 def reference_construct(spec, depth, fmt):
@@ -234,8 +231,8 @@ def _stage_membership(spec, x: Fraction, depth: int) -> bool:
 
     The component [lo, hi] over den stays on the family grid, its children
     are those of [0, hi - lo] shifted by factor * lo, and x = u/q lies in it
-    when lo*q <= u*den <= hi*q. The descent stops at a point
-    component and after a stalling round.
+    when lo*q <= u*den <= hi*q. The descent stops at a point component;
+    a stalling round leaves only points.
     """
     q, u = x.denominator, x.numerator
     if not 0 <= u <= q:
@@ -245,7 +242,7 @@ def _stage_membership(spec, x: Fraction, depth: int) -> bool:
     for _ in range(depth):
         if lo == hi:
             return True
-        children, stalled = rule(c, hi - lo)
+        children = rule(c, hi - lo)
         shift = factor * lo
         u *= factor
         c *= 2
@@ -255,15 +252,13 @@ def _stage_membership(spec, x: Fraction, depth: int) -> bool:
                 break
         else:
             return False
-        if stalled:
-            return True
     return True
 
 
 def _power_membership(spec: Power, x: Fraction, depth_cap: int) -> MembershipVerdict:
     """Component descent; the power family is not scale invariant.
 
-    No removal is longer than its component (see `_child_rule`), so one
+    No removal is longer than its component (see `_stall_round`), so one
     that is not shorter takes the whole interior at once.
     """
     lo, hi = Fraction(0), Fraction(1)

@@ -41,7 +41,7 @@ from cantorkit import (
 )
 from cantorkit import constructions
 from cantorkit.cli import cmd_analyze, cmd_construct
-from cantorkit.constructions import _child_rule, _grid_stages, _round
+from cantorkit.constructions import _child_rule, _grid_stages, _round, _stall_round
 from cantorkit.spec_io import PRESETS
 from reference_stages import (
     _own_stages,
@@ -93,7 +93,36 @@ def test_each_round_of_the_stages_matches_the_per_component_round(spec):
             break
         got = _round(factor, rule, 2 ** k, pairs, den)
         assert got == per_component_round(factor, rule, 2 ** k, pairs, den)
-        assert got[0] == after
+        assert got == after
+
+
+@pytest.mark.parametrize("m", [*range(2, 65), 10 ** 30 + 7])
+def test_a_power_round_leaves_only_points_exactly_from_the_stall_round(m):
+    # Every round-k component of a power spec has one length: follow it by
+    # the rule on the grid and by the definition in Fractions (round k
+    # removes 1/m**k from the middle). A stage is all points from the round
+    # `_stall_round` names on, and at no other round.
+    spec = Power(m)
+    _, rule = _child_rule(spec)
+    stall = _stall_round(spec)
+    length, c, own = 1, 1, Fraction(1)
+    for k in range(1, 13):
+        if length:
+            (a, b), (u, v) = rule(c, length)
+            assert (u, v) == (2 * m * length - b, 2 * m * length)
+            length, c = b - a, 2 * c
+        own = max(Fraction(0), (own - Fraction(1, m ** k)) / 2)
+        assert (length == 0) == (own == 0) == (stall is not None and k >= stall), k
+
+
+def test_svc2_repeats_one_flagged_entry_from_stage_2_on():
+    stages = list(_grid_stages(Power(2), 10))
+    assert [stalled for _, _, stalled in stages] == [False, False] + [True] * 9
+    assert stages[2][1] == [(0, 0), (4, 4), (12, 12), (16, 16)]
+    for den, pairs, _ in stages[3:]:
+        assert den == stages[2][0] and pairs is stages[2][1]
+    for m in range(3, 10):
+        assert not any(stalled for _, _, stalled in _grid_stages(Power(m), 8))
 
 
 @st.composite
@@ -114,9 +143,17 @@ def separated_pairs(draw):
 @example((Subdivision(3, frozenset({0})), 2), 2, [(0, 0), (1, 3)])
 @example((Subdivision(5, frozenset({0, 4})), 2), 2, [(0, 0), (1, 4), (5, 5)])
 def test_round_matches_the_per_component_round(case, c, pairs):
-    # The first example is svc:2's stalling round 2 from its stage 1.
+    # The first example is svc:2's stalling round 2 from its stage 1. A
+    # power removal longer than its component (c above m * length, which no
+    # stage reaches) leaves a reversed child, which both rounds refuse alike.
     factor, rule = _child_rule(case[0])
-    assert _round(factor, rule, c, pairs, 7) == per_component_round(factor, rule, c, pairs, 7)
+
+    def outcome(round_):
+        try:
+            return round_(factor, rule, c, pairs, 7)
+        except ValidationError as exc:
+            return str(exc)
+    assert outcome(_round) == outcome(per_component_round)
 
 
 def _watch_the_rule(monkeypatch):
@@ -393,7 +430,7 @@ def test_stage_paths_build_no_intervals(monkeypatch):
 def test_a_round_that_breaks_the_stage_is_refused(monkeypatch, children):
     # Only the constructions module reads the rule; every other path steps through it.
     monkeypatch.setattr(constructions, "_child_rule",
-                        lambda spec: (3, lambda c, length: (children(length), False)))
+                        lambda spec: (3, lambda c, length: children(length)))
     for build in (lambda s: iterate(s, 2), lambda s: cmd_construct(s, 2),
                   lambda s: render_svg(s, RenderConfig(depth=2)), lambda s: cmd_analyze(s, 2)):
         with pytest.raises(ValidationError, match="out of order, overlapping or touching the interval before it"):
