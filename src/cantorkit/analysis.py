@@ -1,23 +1,26 @@
 """Measures, digit-expansion characterizations, and derived quantities.
 
-Stage and limit measures come from closed recurrences, never from stage
-enumeration, so they stay cheap at depths where the stages themselves
-would be astronomically large. Digit work is one walk over states p/q
-with q fixed at the query's denominator: state p steps to base * p - d * q
-for an allowed digit d whenever the result stays inside [0, q]. A base-b
-expansion avoiding the forbidden digits exists exactly when an infinite
-run exists, i.e. when a cycle is reachable. The automaton is a chain:
-with base * p = d * q + t, a state with t > 0 has the one successor t, by
-digit d, and a state with t = 0 has q by d - 1 and 0 by d, where q steps
-only to itself by base - 1 and 0 only to itself by 0. Each branch closes
-a cycle at once or dies, so taking the smaller digit whose branch lives
-gives the greedy run; a forbidden step ends the walk, a repeated state
-closes it, and each of the at most q + 1 states is entered once.
+Stage and limit measures and the largest component are closed forms: they
+run no deletion round, so they stay cheap at depths where the stages
+themselves would be astronomically large. The length census, one round per
+distinct component length, is what `analyze` prints.
+
+Digit work is one walk over states p/q with q fixed at the query's
+denominator: state p steps to base * p - d * q for an allowed digit d
+whenever the result stays inside [0, q]. A base-b expansion avoiding the
+forbidden digits exists exactly when an infinite run exists, i.e. when a
+cycle is reachable. The automaton is a chain: with base * p = d * q + t,
+a state with t > 0 has the one successor t, by digit d, and a state with
+t = 0 has q by d - 1 and 0 by d, where q steps only to itself by base - 1
+and 0 only to itself by 0. Each branch closes a cycle at once or dies, so
+taking the smaller digit whose branch lives gives the greedy run; a
+forbidden step ends the walk, a repeated state closes it, and each of the
+at most q + 1 states is entered once.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +29,6 @@ from math import lcm
 from .constructions import (
     MAX_BUILT_INTERVALS,
     ConstructionSpec,
-    Power,
     Proportional,
     _at_least,
     _grid_stages,
@@ -58,30 +60,42 @@ def _census_round(factor: int, rule: Callable, c: int, census: Counter, den: int
 
 
 def _length_census(spec: ConstructionSpec, n: int) -> Iterator[tuple[int, Counter, bool]]:
-    """Stages 0..n as `(den, integer component lengths with multiplicities, stalled)`."""
+    """Stages 0..n as `(den, integer component lengths with multiplicities, stalled)`.
+
+    This is the census `analyze` prints.
+    """
     return _rounds(spec, n, Counter({1: 1}), _census_round)
 
 
 def stage_measure(spec: ConstructionSpec, n: int) -> Fraction:
-    """Exact total length after n rounds, by closed recursion."""
+    """Exact total length after n rounds, in closed form.
+
+    Each round keeps sum(contraction_ratios(spec)) of every component of a
+    self-similar spec (`_self_similar`). A power spec's round k takes
+    1/m**k from each of 2**(k-1) components, so n rounds take
+    (1 - (2/m)**n) / (m - 2) and leave ((m - 3) m**n + 2**n) / ((m - 2) m**n).
+    The one spec that stalls (`_stall_round`), Power(2), loses 1/2 at
+    round 1 and the other 1/2 at round 2.
+    """
     _at_least(n, "stage index")
-    if isinstance(spec, Power):
-        den, census, _ = deque(_length_census(spec, n), maxlen=1)[0]
-        return Fraction(sum(length * count for length, count in census.items()), den)
-    d, runs = _kept_grid(spec)
-    return Fraction(sum(b - a for a, b in runs), d) ** n
+    if _self_similar(spec):
+        return sum(contraction_ratios(spec)) ** n
+    if limit_is_degenerate(spec):
+        return Fraction(max(2 - n, 0), 2)
+    m = spec.m
+    return Fraction((m - 3) * m ** n + 2 ** n, (m - 2) * m ** n)
 
 
 def limit_measure(spec: ConstructionSpec) -> Fraction:
     """Exact measure of the limit set.
 
-    Proportional and subdivision families lose a fixed proportion each
-    round, so their limits are null. A power construction with base m
-    removes total length sum(2**(k-1) / m**k) = 1 / (m - 2) for m >= 3,
-    leaving (m - 3) / (m - 2); at m = 2 the round-2 removal exactly
-    exhausts the components and only finitely many points survive.
+    Self-similar families keep a fixed proportion below 1 each round, so
+    their limits are null. A power construction with base m >= 4 removes
+    total length sum(2**(k-1) / m**k) = 1 / (m - 2), leaving
+    (m - 3) / (m - 2); at m = 2 the round-2 removal exactly exhausts the
+    components and only finitely many points survive.
     """
-    if not isinstance(spec, Power) or limit_is_degenerate(spec):
+    if _self_similar(spec) or limit_is_degenerate(spec):
         return Fraction(0)
     return Fraction(spec.m - 3, spec.m - 2)
 
@@ -94,16 +108,13 @@ def limit_is_degenerate(spec: ConstructionSpec) -> bool:
 def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     """Largest component length at stage n, in closed form.
 
-    Children scale by run width / d per round, so the widest kept run
-    dominates; power components share one length tracked by the census
-    recurrence.
+    Children scale by their contraction ratio per round, so the widest kept
+    run dominates; a power spec's 2**n components share its stage measure.
     """
     _at_least(n, "stage index")
-    if isinstance(spec, Power):
-        den, census, _ = deque(_length_census(spec, n), maxlen=1)[0]
-        return Fraction(max(census), den)
-    d, runs = _kept_grid(spec)
-    return Fraction(max(b - a for a, b in runs), d) ** n
+    if _self_similar(spec):
+        return max(contraction_ratios(spec)) ** n
+    return stage_measure(spec, n) / 2 ** n
 
 
 def _check_base(base: object) -> None:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,15 @@ class TestEquivalenceCheck:
             verdict = characterization_equivalence_check(spec, es, depth=depth)
             assert verdict == Characterized(es)
 
+    def test_a_union_that_runs_out_first_is_separated_by_the_others_next_start(self):
+        # Stage 1 of cantor is [0, 1/3] u [2/3, 1]; the digit {0} keeps only
+        # [0, 1/3], so the digit union runs out before the stage's second pair
+        verdict = characterization_equivalence_check(
+            parse_spec("cantor"), ExpansionSpec(3, frozenset({0})), 1)
+        assert verdict == MismatchWitness(1, Fraction(2, 3))
+        assert _stage_union_of(parse_spec("cantor"), 1).covers(Fraction(2, 3))
+        assert not _expansion_prefix_covers(ExpansionSpec(3, frozenset({0})), Fraction(2, 3), 1)
+
     def test_adjacent_run_really_diverges_from_its_digit_alphabet(self):
         # ac5b round 2 keeps [8/25, 2/5] inside the wide run; a base-5
         # {0, 1, 4} digit union does not
@@ -489,6 +499,24 @@ def test_one_pass_analyze_matches_the_per_stage_functions(spec):
         assert doc["scale_census"] == [
             {"length": fraction_str(length), "count": count}
             for length, count in length_census(stages[n])], (spec, n)
+
+
+@pytest.mark.parametrize("spec", _analyze_cases() + [Power(m) for m in range(8, 13)], ids=repr)
+def test_measure_closed_forms_match_the_census(spec):
+    for n, (den, lengths, _) in enumerate(_length_census(spec, 40)):
+        measure = Fraction(sum(length * count for length, count in lengths.items()), den)
+        assert stage_measure(spec, n) == measure, (spec, n)
+        assert max_component_length(spec, n) == Fraction(max(lengths), den), (spec, n)
+
+
+@pytest.mark.parametrize("measure, spec", [(stage_measure, Power(4)),
+                                           (max_component_length, Power(5))])
+def test_power_measures_stay_cheap_at_a_deep_stage(measure, spec):
+    # A replay of the rounds costs time quadratic in n; the closed form is a few powers.
+    start = time.perf_counter()
+    value = measure(spec, 10 ** 5)
+    assert time.perf_counter() - start < 1.0
+    assert value > 0
 
 
 class TestSimilarityDimension:
