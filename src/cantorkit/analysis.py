@@ -287,7 +287,9 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
     base d with the run starts as digits matches exactly when every kept
     run has width 1, so a child ratio 1/b gives the base-b strings over
     {0, b-1} (`Power(3)`: base 3, {0, 2}). Only that natural base is
-    examined; the reason strings say so.
+    examined; the reason strings say so. A removed edge part leaves the
+    component's end behind as an isolated point, 0 or 1 at stage 1, whose
+    one expansion uses the removed digit, so no digit filter matches.
     """
     if not _self_similar(spec):
         if limit_is_degenerate(spec):
@@ -297,6 +299,11 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
             "removal lengths vary per round, so no single digit grid matches every stage")
     d, runs = _kept_grid(spec)
     widest = max(b - a for a, b in runs)
+    edges = " and ".join(e for e, cut in (("0", runs[0][0] > 0), ("1", runs[-1][1] < d)) if cut)
+    if widest == 1 and edges:
+        return NotCharacterizable(
+            f"a removed edge part leaves isolated points, {edges} among them, "
+            f"that have no base-{d} expansion in the kept digits")
     if widest == 1:
         return Characterized(ExpansionSpec(d, frozenset(a for a, _ in runs)))
     if isinstance(spec, Proportional):

@@ -14,31 +14,32 @@ every current component [a, b] of the unit interval:
   that edge behind as an isolated point, because the deleted span is open.
 
 Every endpoint of stage k is an integer over one denominator: s**k for a
-proportional spec with child ratio r/s, n**k for a subdivision and
-(2m)**k for a power spec. One integer deletion rule per family
-(`_child_rule`), applied by one round (`_round`) in one loop (`_rounds`),
-builds the stages on that grid (`_grid_stages`); the census and the
-renderer give the loop their own step. The rule cuts [0, length], so a
-round calls it once per distinct component length and shifts the children
-into place, checking each as it places it. A path that writes endpoints
-walks them once (`_endpoint_stages`): each distinct endpoint is made once,
-as a `Fraction` for `iterate` or a string for `construct`, and shared by
-every stage that keeps it; the `Fraction`s are set in place in lowest terms
-from one gcd and checked no further than `_round` checks.
+proportional spec with child ratio r/s, n**k for a subdivision, 3**k for
+`Power(3)` and (2m)**k for any other power spec. One integer deletion rule
+per family (`_child_rule`), applied by one round (`_round`) in one loop
+(`_rounds`), builds the stages on that grid (`_grid_stages`); the census
+and the renderer give the loop their own step. The rule cuts [0, length],
+so a round calls it once per distinct component length and shifts the
+children into place, checking each as it places it. A path that writes
+endpoints walks them once (`_endpoint_stages`): each distinct endpoint is
+made once, as a `Fraction` for `iterate` or a string for `construct`, and
+shared by every stage that keeps it; the `Fraction`s are set in place in
+lowest terms from one gcd and checked no further than `_round` checks.
 
 A proportional spec with child ratio r/s is, stage for stage, the s-part
 subdivision that removes the middle s - 2r parts, and `Power(3)` is the
 middle-thirds set: all are read from one table of kept runs (`_kept_grid`).
+The power rule serves only the power specs without a table.
 
 The point queries keep one rule: an endpoint is never removed, and a
 descent reports the round that removes x. Rounds are translation invariant,
 so the stage descent (`_removed_at`) keeps x's offset in its component and
 the component's length as integers and applies the rule to [0, length]; the
-power walk (`_power_membership`) does the same on the grid q * (2m)**k. The
-self-similar specs are also scale invariant, so their limit walk tracks x's
-relative position p/q and watches for endpoints, removals and revisited
-states; the part of q prime to d never shrinks, so the visited table is
-cleared whenever that part grows.
+power walk (`_power_membership`) does the same on the grid q * (2m)**k for
+the power specs without a table. The self-similar specs are also scale
+invariant, so their limit walk tracks x's relative position p/q and watches
+for endpoints, removals and revisited states; the part of q prime to d
+never shrinks, so the visited table is cleared whenever that part grows.
 """
 
 from __future__ import annotations
@@ -188,9 +189,10 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
     integer pairs over den * D; an edge point left behind by an open
     removal comes out as (e, e). Every family cuts a component by its
     length alone, so the children of [a, b] are D * a plus those of
-    [0, b - a]. D is s for a child ratio r/s, n for a subdivision and 2m
-    for a power spec, so stage k lies on the grid D**k.
-    `c` matters to the power family only: it is den / m**(k-1) at round k,
+    [0, b - a]. D is s for a child ratio r/s, d for a kept-run table
+    (`_kept_grid`: n for a subdivision, 3 for `Power(3)`) and 2m for any
+    other power spec, so stage k lies on the grid D**k.
+    `c` matters to the power rule only: it is den / m**(k-1) at round k,
     which makes the removal 1/m**k equal 2c on the next grid (c = 2**(k-1)
     on the family grid). A removal as long as its component
     (`_stall_round`) leaves its two ends, (0, 0) and (D * length, D * length).
@@ -205,7 +207,7 @@ def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
             hi, step = s * length, r * length
             return [(0, step), (hi - step, hi)]
         return s, rule
-    if isinstance(spec, Power):
+    if not _self_similar(spec):
         m = spec.m
         d = 2 * m
 
@@ -354,10 +356,11 @@ def _at_least(n: int, what: str, least: int = 0) -> None:
 def _check_depth(spec: ConstructionSpec, depth: int, limit: int) -> None:
     """Refuse a depth that is not a nonnegative int, or one whose stage could pass `limit`.
 
-    A path that builds its stages passes `MAX_BUILT_INTERVALS`; `render` and
-    `analyze`, which keep a bounded reduction of each stage, pass
-    `MAX_ENUMERATED_INTERVALS`. The bound branch**depth ignores stalling, so
-    a stalling construction past the limit is refused as well.
+    A path that builds its stages passes `MAX_BUILT_INTERVALS`; `analyze`,
+    which keeps only each stage's length census, passes
+    `MAX_ENUMERATED_INTERVALS`. `render` bounds the rects it draws instead
+    (`render._check_rows`). The bound branch**depth ignores stalling, so a
+    stalling construction past the limit is refused as well.
     """
     _at_least(depth, "depth")
     branch = len(_child_rule(spec)[1](1, 1))

@@ -13,7 +13,9 @@ on the same pixel as the point before it is dropped. A row so holds at
 most inner + 1 components that still split and inner + 1 points: a
 document costs O(rows * width), not branch**depth. Each row is one entry
 of the round loop (`_rounds`), whose step is the round and then that
-collapse; each kept pair carries its pixels.
+collapse; each kept pair carries its pixels. A diagram is refused before
+any round when the sum of that per-row bound, min(branch**k, 2*inner + 2)
+for row k, passes `MAX_BUILT_INTERVALS`.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import (
-    MAX_ENUMERATED_INTERVALS,
+    MAX_BUILT_INTERVALS,
     ConstructionSpec,
     _at_least,
-    _check_depth,
+    _child_rule,
     _round,
     _rounds,
 )
-from .errors import ValidationError, _cut, _echo
+from .errors import ResourceLimitError, ValidationError, _cut, _echo
 from .exact import _is_int
 
 _PAD = 10
@@ -47,7 +49,8 @@ class RenderConfig:
       at least 8; its bars are 6 px shorter.
     * `depth`: the last stage drawn, an int of at least 0, so stages
       0..depth give depth + 1 rows; `render_svg` refuses a depth whose
-      stage could hold over `MAX_ENUMERATED_INTERVALS` components.
+      rows could draw over `MAX_BUILT_INTERVALS` rects in all, at most
+      min(branch**k, 2*inner + 2) in row k for an inner width of inner px.
     * `label`: when true, each row is labelled with its stage index in the
       gutter; the rows after a stall repeat the stalled stage's index.
     """
@@ -70,10 +73,27 @@ class RenderConfig:
         _at_least(self.depth, "render depth")
 
 
+def _check_rows(spec: ConstructionSpec, depth: int, inner: int) -> None:
+    """Refuse rows 0..depth when they could draw over `MAX_BUILT_INTERVALS` rects.
+
+    The sum stops at the first row that passes the limit, so a huge depth
+    is refused at once.
+    """
+    branch, most = len(_child_rule(spec)[1](1, 1)), 2 * inner + 2
+    row, total = 1, 0
+    for k in range(depth + 1):
+        total += row
+        if total > MAX_BUILT_INTERVALS:
+            raise ResourceLimitError(
+                f"render depth {depth}: rows 0..{k} could draw up to {total} rects, "
+                f"min({branch}**k, {most}) in row k, over the limit of {MAX_BUILT_INTERVALS}")
+        row = min(branch * row, most)
+
+
 def render_svg(spec: ConstructionSpec, cfg: RenderConfig = RenderConfig()) -> str:
-    _check_depth(spec, cfg.depth, MAX_ENUMERATED_INTERVALS)
     gutter = _GUTTER if cfg.label else 0
     inner = cfg.width_px - gutter - 2 * _PAD
+    _check_rows(spec, cfg.depth, inner)
     left = gutter + _PAD
     height = 2 * _PAD + (cfg.depth + 1) * cfg.row_height_px
     bar_h = max(1, cfg.row_height_px - _BAR_GAP)

@@ -372,6 +372,56 @@ class TestCharacterization:
         assert isinstance(expansion_characterization(Power(2)), NotCharacterizable)
         assert isinstance(expansion_characterization(Power(4)), NotCharacterizable)
 
+    @pytest.mark.parametrize("n, removed, edges", [
+        (5, {0, 2, 4}, "0 and 1"), (3, {0, 2}, "0 and 1"), (4, {1, 3}, "1"), (6, {1, 3, 5}, "1"),
+        (4, {0, 2}, "0"),
+    ])
+    def test_an_isolated_edge_point_blocks_characterization(self, n, removed, edges):
+        # The kept runs all have width 1, but a removed edge part leaves the
+        # component's end behind, and its one expansion uses a removed digit.
+        spec = Subdivision(n, frozenset(removed))
+        assert expansion_characterization(spec) == NotCharacterizable(
+            f"a removed edge part leaves isolated points, {edges} among them, "
+            f"that have no base-{n} expansion in the kept digits")
+        kept = ExpansionSpec(n, frozenset(range(n)) - frozenset(removed))
+        point = Fraction(0) if 0 in removed else Fraction(1)
+        assert characterization_equivalence_check(spec, kept, 3) == MismatchWitness(1, point)
+
+
+def _characterization_sweep():
+    """The presets, svc:2-svc:7, and seeded subdivisions with n <= 9.
+
+    Half of the subdivisions keep only width-1 runs, the shape a digit
+    filter can match, with and without a removed edge part.
+    """
+    rng = random.Random(2029)
+    specs = [parse_spec(name) for name in sorted(PRESETS)] + [Power(m) for m in range(2, 8)]
+    for i in range(120):
+        n = rng.randint(3, 9)
+        if i % 2:
+            removed = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        else:
+            kept = {j for j in range(n) if rng.random() < 0.5}
+            kept = {j for j in kept if j - 1 not in kept} or {rng.randrange(n)}
+            removed = set(range(n)) - kept
+        specs.append(Subdivision(n, frozenset(removed)))
+    return list(dict.fromkeys(specs))
+
+
+@pytest.mark.parametrize("spec", _characterization_sweep(), ids=str)
+def test_every_characterization_passes_its_equivalence_check(spec):
+    verdict = expansion_characterization(spec)
+    if isinstance(verdict, Characterized):
+        assert characterization_equivalence_check(spec, verdict.spec, 4) == verdict
+
+
+def test_the_characterization_sweep_reaches_both_verdicts():
+    verdicts = [expansion_characterization(spec) for spec in _characterization_sweep()]
+    characterized = [v for v in verdicts if isinstance(v, Characterized)]
+    edge_points = [v for v in verdicts
+                   if isinstance(v, NotCharacterizable) and "removed edge part" in v.reason]
+    assert len(characterized) >= 10 and len(edge_points) >= 10
+
 
 def _stage_union_of(spec, depth):
     return iterate(spec, depth)[depth].intervals

@@ -348,6 +348,15 @@ class TestRenderSvg:
         svg = render_svg(parse_spec("svc:2"), RenderConfig(depth=2))
         assert 'width="1"' in svg
 
+    def test_a_deep_render_is_bounded_by_what_it_draws(self, capsys):
+        # Row k draws at most min(2**k, 2 * 780 + 2) rects at the default
+        # width, so depth 40 is 2**11 - 1 + 30 * 1562 rects at most: drawn.
+        assert main(["render", "--spec", "cantor", "--depth", "40"]) == 0
+        out = capsys.readouterr()
+        rows = re.findall(r'<rect x="\d+" y="(\d+)"', out.out)
+        assert out.err == "" and len(set(rows)) == 41
+        assert len(rows) <= 2 ** 11 - 1 + 30 * 1562
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             RenderConfig(width_px=50)
@@ -417,13 +426,20 @@ class TestMainExitCodes:
         (["construct", "--spec", '{"type":"subdivision","n":5,"removed":[1,3]}',
           "--depth", "100000000"],
          "stage 100000000 could hold up to 3**100000000 intervals, over the limit of 262144"),
+        # render sums its per-row bound and stops at the first row past the limit.
         (["render", "--spec", '{"type":"subdivision","n":5,"removed":[1,3]}',
           "--depth", "100000000"],
-         "stage 100000000 could hold up to 3**100000000 intervals, over the limit of 1073741824"),
+         "render depth 100000000: rows 0..174 could draw up to 263509 rects, "
+         "min(3**k, 1562) in row k, over the limit of 262144"),
         (["analyze", "--spec", "c14", "--depth", "1000000000"],
          "stage 1000000000 could hold up to 2**1000000000 intervals, over the limit of 1073741824"),
         (["render", "--spec", "c14", "--depth", "1000000000"],
-         "stage 1000000000 could hold up to 2**1000000000 intervals, over the limit of 1073741824"),
+         "render depth 1000000000: rows 0..177 could draw up to 262901 rects, "
+         "min(2**k, 1562) in row k, over the limit of 262144"),
+        # A wide render is bounded by its rows too: 2**19 - 1 rects at depth 18.
+        (["render", "--spec", "svc:4", "--depth", "18", "--width", "1000000"],
+         "render depth 18: rows 0..18 could draw up to 524287 rects, "
+         "min(2**k, 1999962) in row k, over the limit of 262144"),
     ])
     def test_a_huge_depth_is_refused_at_once(self, argv, message, capsys):
         started = time.perf_counter()

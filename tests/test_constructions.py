@@ -169,8 +169,8 @@ class TestIterate:
         # 2**18 intervals is exactly the limit of a built stage; the check
         # passes without building one.
         assert _check_depth(cantor, 18, MAX_BUILT_INTERVALS) is None
-        # analyze keeps no stage, so it keeps the enumeration limit (render at
-        # depth 30 and analyze at 31 are checked in test_grid_kernel and test_cli).
+        # analyze keeps no stage, so it keeps the enumeration limit (analyze
+        # at 31 is checked in test_cli; render bounds the rects it draws).
         assert _check_depth(cantor, 30, MAX_ENUMERATED_INTERVALS) is None
         assert "scale census at depth 30: 1/205891132094649 x1073741824" in cmd_analyze(cantor, 30)
 

@@ -10,6 +10,7 @@ package's deletion rule.
 import copy
 import json
 import pickle
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -38,6 +39,7 @@ from cantorkit import (
     iterate,
     parse_spec,
     render_svg,
+    stage_membership,
 )
 from cantorkit import constructions
 from cantorkit.cli import cmd_analyze, cmd_construct
@@ -101,18 +103,42 @@ def test_a_power_round_leaves_only_points_exactly_from_the_stall_round(m):
     # Every round-k component of a power spec has one length: follow it by
     # the rule on the grid and by the definition in Fractions (round k
     # removes 1/m**k from the middle). A stage is all points from the round
-    # `_stall_round` names on, and at no other round.
+    # `_stall_round` names on, and at no other round. m = 3 is cut by
+    # cantor's rule on the 3**k grid; every other m by the power rule on
+    # the (2m)**k grid.
     spec = Power(m)
-    _, rule = _child_rule(spec)
+    factor, rule = _child_rule(spec)
+    _, cantor_rule = _child_rule(parse_spec("cantor"))
+    assert factor == (3 if m == 3 else 2 * m)
     stall = _stall_round(spec)
     length, c, own = 1, 1, Fraction(1)
     for k in range(1, 13):
         if length:
             (a, b), (u, v) = rule(c, length)
-            assert (u, v) == (2 * m * length - b, 2 * m * length)
+            assert (u, v) == (factor * length - b, factor * length)
+            if m == 3:
+                assert [(a, b), (u, v)] == cantor_rule(c, length)
             length, c = b - a, 2 * c
         own = max(Fraction(0), (own - Fraction(1, m ** k)) / 2)
         assert (length == 0) == (own == 0) == (stall is not None and k >= stall), k
+
+
+def test_svc3_stages_are_cantors_on_the_3k_grid():
+    for k in range(11):
+        svc3 = list(_grid_stages(Power(3), k))
+        assert svc3 == list(_grid_stages(parse_spec("cantor"), k))
+        assert [den for den, _, _ in svc3] == [3 ** j for j in range(k + 1)]
+
+
+def test_svc3_stage_descent_is_cantors():
+    rng = random.Random(3303)
+    cantor = parse_spec("cantor")
+    points = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(1, 3), Fraction(3, 4)]
+    for _ in range(2000):
+        q = rng.randint(1, 3 ** 8)
+        points.append(Fraction(rng.randint(0, q), q))
+    for x in points:
+        assert stage_membership(Power(3), x, 20) == stage_membership(cantor, x, 20), x
 
 
 def test_svc2_repeats_one_flagged_entry_from_stage_2_on():

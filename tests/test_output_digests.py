@@ -4,7 +4,7 @@ Each case is one output: a command-line request through `cantorkit.cli.main`
 (its exit status, stdout and stderr) or the `repr` of one library call. The
 sha256 of each is kept in `output_digests.json` beside this file, one entry
 per case, so a failure names every output that changed. The sweep covers
-every preset, svc:2-svc:7, two subdivisions with edge points and p = 2/5:
+every preset, svc:2-svc:7, three subdivisions with edge points and p = 2/5:
 `construct` text and JSON at depths 0-6, `analyze` text and JSON, `render`
 with and without labels, `member` text and JSON on fixed points, `iterate`,
 the characterization and the characterization check; and `cantorfun` on
@@ -45,6 +45,7 @@ SPECS = [
     *(f"svc:{m}" for m in range(2, 8)),
     '{"type": "subdivision", "n": 5, "removed": [0, 2]}',
     '{"type": "subdivision", "n": 6, "removed": [0, 5]}',
+    '{"type": "subdivision", "n": 5, "removed": [0, 2, 4]}',
     '{"type": "proportional", "p": "2/5"}',
 ]
 MEMBER_POINTS = ["0", "1", "1/4", "1/3", "1/2", "3/4", "7/9", "1/10", "2/7"]
