@@ -33,15 +33,15 @@ from .constructions import (
     _at_least,
     _grid_stages,
     _kept_grid,
-    _power_over,
     _query_point,
+    _refuse_power,
     _removed_at,
     _round,
     _rounds,
     _self_similar,
     _stall_round,
 )
-from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _echo
+from .errors import DomainError, ValidationError, _cut, _echo
 from .exact import _as_fraction, _is_int
 
 
@@ -117,11 +117,6 @@ def max_component_length(spec: ConstructionSpec, n: int) -> Fraction:
     return stage_measure(spec, n) / 2 ** n
 
 
-def _check_base(base: object) -> None:
-    if not _is_int(base) or base < 2:
-        raise ValidationError(f"expansion base must be an integer >= 2, got {_echo(base)}")
-
-
 def _check_digits(base: int, digits: Iterable[object]) -> None:
     for d in digits:
         if not _is_int(d) or not 0 <= d < base:
@@ -137,7 +132,7 @@ class ExpansionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allowed", frozenset(self.allowed))
-        _check_base(self.base)
+        _at_least(self.base, "expansion base", 2)
         _check_digits(self.base, self.allowed)
         if not self.allowed:
             raise ValidationError("at least one digit must be allowed")
@@ -156,7 +151,7 @@ class DigitExpansion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
-        _check_base(self.base)
+        _at_least(self.base, "expansion base", 2)
         if not self.period:
             raise ValidationError("period must be nonempty")
         _check_digits(self.base, self.preperiod + self.period)
@@ -306,10 +301,6 @@ def expansion_characterization(spec: ConstructionSpec) -> CharacterizationVerdic
             f"that have no base-{d} expansion in the kept digits")
     if widest == 1:
         return Characterized(ExpansionSpec(d, frozenset(a for a, _ in runs)))
-    if isinstance(spec, Proportional):
-        return NotCharacterizable(
-            f"children span {Fraction(widest, d)} of the parent, so the natural base {d} "
-            f"needs kept runs of width {widest} (no other bases searched)")
     return NotCharacterizable(
         f"base {d} needs kept runs of width 1, found width {widest} "
         "(no other bases searched)")
@@ -360,13 +351,12 @@ def characterization_equivalence_check(
     compares integer pairs: the stage over its grid and the closure of the
     points whose first k digits can all be allowed, as merged runs over
     base**k, both lifted to the least common denominator; a side already
-    over it is compared as it is.
+    over it is compared as it is. Both sides build what they compare, so
+    each is refused upfront (`_refuse_power`) where it could pass
+    `MAX_BUILT_INTERVALS`: the digit level first, then the stage.
     """
     _at_least(depth, "comparison depth", 1)
-    if _power_over(len(es.allowed), depth, MAX_BUILT_INTERVALS):
-        raise ResourceLimitError(
-            f"digit enumeration would build up to {len(es.allowed)}**{depth} intervals, "
-            f"over the limit of {MAX_BUILT_INTERVALS}")
+    _refuse_power("digit level", len(es.allowed), depth, MAX_BUILT_INTERVALS)
     stages = _grid_stages(spec, depth)
     next(stages)  # stage 0, [0, 1]
     digits = sorted(es.allowed)

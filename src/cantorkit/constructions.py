@@ -69,6 +69,20 @@ MAX_BUILT_INTERVALS = 2 ** 18
 DEFAULT_DEPTH_CAP = 10_000
 
 
+def _at_least(n: int, what: str, least: int = 0) -> None:
+    """Refuse n unless it is an int (a bool is not one) of at least `least`.
+
+    The package's one integer-floor check. A refusal names the value, cut
+    to a bounded size (`_cut`): `{what} must be at least L, got V`, or
+    `{what} must be nonnegative, got V` for the floor 0.
+    """
+    if not _is_int(n):
+        raise ValidationError(f"{what} must be an integer, got {_echo(n)}")
+    if n < least:
+        floor = f"at least {least}" if least else "nonnegative"
+        raise ValidationError(f"{what} must be {floor}, got {_cut(n)}")
+
+
 @dataclass(frozen=True)
 class Proportional:
     """Remove the open centered proportion p of every component, each round."""
@@ -94,8 +108,7 @@ class Power:
     m: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.m) or self.m < 2:
-            raise ValidationError(f"power base must be an integer >= 2, got {_echo(self.m)}")
+        _at_least(self.m, "power base", 2)
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,7 @@ class Subdivision:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "removed", frozenset(self.removed))
-        if not _is_int(self.n) or self.n < 3:
-            raise ValidationError(f"part count must be an integer >= 3, got {_echo(self.n)}")
+        _at_least(self.n, "part count", 3)
         for i in self.removed:
             if not _is_int(i) or not 0 <= i < self.n:
                 raise ValidationError(
@@ -335,39 +347,34 @@ def _endpoint_stages(spec: ConstructionSpec, depth: int, make: Callable) -> Iter
     return _rounds(spec, depth, ([(0, 1)], [(make(0, 1), make(1, 1))]), step)
 
 
-def _power_over(branch: int, depth: int, limit: int) -> bool:
-    """Whether branch**depth > limit, without taking the power of a huge depth.
+def _refuse_power(what: str, branch: int, depth: int, limit: int) -> None:
+    """Refuse `what` `depth` when its branch**depth intervals could pass `limit`.
 
-    For branch >= 2 the power exceeds the limit once depth passes the
-    limit's bit length, so that depth is refused before any power is taken.
+    The package's one stage-size refusal, in one wording: `{what} D could
+    hold up to B**D intervals, over the limit of L`, with D cut (`_cut`)
+    and the text built only when it refuses. For branch >= 2 the power
+    exceeds the limit once depth passes the limit's bit length, so that
+    depth is refused before any power is taken.
     """
-    return branch > 1 and depth > limit.bit_length() or branch ** depth > limit
-
-
-def _at_least(n: int, what: str, least: int = 0) -> None:
-    """Refuse n unless it is an int (a bool is not one) of at least `least`."""
-    if not _is_int(n):
-        raise ValidationError(f"{what} must be an integer, got {_echo(n)}")
-    if n < least:
-        raise ValidationError(
-            f"{what} must be " + (f"at least {least}" if least else "nonnegative"))
+    if branch > 1 and depth > limit.bit_length() or branch ** depth > limit:
+        shown = _cut(depth)
+        raise ResourceLimitError(
+            f"{what} {shown} could hold up to {branch}**{shown} intervals, "
+            f"over the limit of {limit}")
 
 
 def _check_depth(spec: ConstructionSpec, depth: int, limit: int) -> None:
     """Refuse a depth that is not a nonnegative int, or one whose stage could pass `limit`.
 
-    A path that builds its stages passes `MAX_BUILT_INTERVALS`; `analyze`,
-    which keeps only each stage's length census, passes
+    The floor is `_at_least`'s and the size refusal `_refuse_power`'s, as
+    `stage D`. A path that builds its stages passes `MAX_BUILT_INTERVALS`;
+    `analyze`, which keeps only each stage's length census, passes
     `MAX_ENUMERATED_INTERVALS`. `render` bounds the rects it draws instead
     (`render._check_rows`). The bound branch**depth ignores stalling, so a
     stalling construction past the limit is refused as well.
     """
     _at_least(depth, "depth")
-    branch = len(_child_rule(spec)[1](1, 1))
-    if _power_over(branch, depth, limit):
-        raise ResourceLimitError(
-            f"stage {depth} could hold up to {branch}**{depth} intervals, "
-            f"over the limit of {limit}")
+    _refuse_power("stage", len(_child_rule(spec)[1](1, 1)), depth, limit)
 
 
 def _fraction(a: int, den: int) -> Fraction:

@@ -15,7 +15,10 @@ document costs O(rows * width), not branch**depth. Each row is one entry
 of the round loop (`_rounds`), whose step is the round and then that
 collapse; each kept pair carries its pixels. A diagram is refused before
 any round when the sum of that per-row bound, min(branch**k, 2*inner + 2)
-for row k, passes `MAX_BUILT_INTERVALS`.
+for row k, passes `MAX_BUILT_INTERVALS`, so a diagram has fewer than 2**18
+rows. A width or row height is at most 2**31 - 1 px (`RenderConfig`), so
+every number a document writes is under 2**49, and each refusal names its
+numbers cut to a bounded size (`_cut`).
 """
 
 from __future__ import annotations
@@ -30,29 +33,34 @@ from .constructions import (
     _round,
     _rounds,
 )
-from .errors import ResourceLimitError, ValidationError, _cut, _echo
-from .exact import _is_int
+from .errors import ResourceLimitError, ValidationError, _cut
 
 _PAD = 10
 _GUTTER = 36
 _BAR_GAP = 6
+# The largest width or row height, the largest signed 32-bit int.
+_MAX_PX = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
 class RenderConfig:
     """How `render_svg` lays out a diagram.
 
-    * `width_px`: the document width in pixels, an int of at least 100; a
-      10 px margin on each side and, with `label`, a 36 px label gutter
-      come out of it.
-    * `row_height_px`: the height of each stage's row in pixels, an int of
-      at least 8; its bars are 6 px shorter.
+    * `width_px`: the document width in pixels, an int from 100 to
+      2**31 - 1; a 10 px margin on each side and, with `label`, a 36 px
+      label gutter come out of it.
+    * `row_height_px`: the height of each stage's row in pixels, an int
+      from 8 to 2**31 - 1; its bars are 6 px shorter.
     * `depth`: the last stage drawn, an int of at least 0, so stages
       0..depth give depth + 1 rows; `render_svg` refuses a depth whose
       rows could draw over `MAX_BUILT_INTERVALS` rects in all, at most
       min(branch**k, 2*inner + 2) in row k for an inner width of inner px.
     * `label`: when true, each row is labelled with its stage index in the
       gutter; the rows after a stall repeat the stalled stage's index.
+
+    Each field is refused as it is checked, with one `ValidationError`: a
+    floor through `_at_least` and the pixel ceiling in the same loop, each
+    naming the value cut (`_cut`).
     """
 
     width_px: int = 800
@@ -61,15 +69,11 @@ class RenderConfig:
     label: bool = False
 
     def __post_init__(self) -> None:
-        for what, n in (("render width", self.width_px), ("row height", self.row_height_px)):
-            if not _is_int(n):
-                raise ValidationError(f"{what} must be an integer, got {_echo(n)}")
-        if self.width_px < 100:
-            raise ValidationError(
-                f"render width must be at least 100 px, got {_cut(self.width_px)}")
-        if self.row_height_px < 8:
-            raise ValidationError(
-                f"row height must be at least 8 px, got {_cut(self.row_height_px)}")
+        for what, n, least in (("render width", self.width_px, 100),
+                               ("row height", self.row_height_px, 8)):
+            _at_least(n, what, least)
+            if n > _MAX_PX:
+                raise ValidationError(f"{what} must be at most {_MAX_PX}, got {_cut(n)}")
         _at_least(self.depth, "render depth")
 
 
@@ -77,7 +81,7 @@ def _check_rows(spec: ConstructionSpec, depth: int, inner: int) -> None:
     """Refuse rows 0..depth when they could draw over `MAX_BUILT_INTERVALS` rects.
 
     The sum stops at the first row that passes the limit, so a huge depth
-    is refused at once.
+    is refused at once, and named cut (`_cut`).
     """
     branch, most = len(_child_rule(spec)[1](1, 1)), 2 * inner + 2
     row, total = 1, 0
@@ -85,7 +89,7 @@ def _check_rows(spec: ConstructionSpec, depth: int, inner: int) -> None:
         total += row
         if total > MAX_BUILT_INTERVALS:
             raise ResourceLimitError(
-                f"render depth {depth}: rows 0..{k} could draw up to {total} rects, "
+                f"render depth {_cut(depth)}: rows 0..{k} could draw up to {total} rects, "
                 f"min({branch}**k, {most}) in row k, over the limit of {MAX_BUILT_INTERVALS}")
         row = min(branch * row, most)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path, PurePosixPath
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
@@ -366,6 +366,22 @@ class TestRenderSvg:
             RenderConfig(depth=-1)
 
 
+def _long_depth_cases():
+    """A 250-digit and a 4,300-digit depth on each stage command, with its refusal."""
+    for digits in (250, 4300):
+        depth = "1" + "0" * (digits - 1)
+        # A long depth is written as its first 100 digits and its length.
+        shown = f"{depth[:100]}... ({digits} characters)"
+        stage = f"stage {shown} could hold up to 2**{shown} intervals, over the limit of"
+        for command, message in (
+                ("construct", f"{stage} 262144"),
+                ("analyze", f"{stage} 1073741824"),
+                ("render", f"render depth {shown}: rows 0..177 could draw up to 262901 rects, "
+                           "min(2**k, 1562) in row k, over the limit of 262144")):
+            yield pytest.param([command, "--spec", "cantor", "--depth", depth], message,
+                               id=f"{command}-{digits}-digit-depth")
+
+
 class TestMainExitCodes:
     def test_success(self, capsys):
         assert main(["construct", "--spec", "cantor", "--depth", "1"]) == 0
@@ -419,7 +435,7 @@ class TestMainExitCodes:
         assert err == {"error": "resource", "message": "stage 31 could hold up to 2**31 "
                        "intervals, over the limit of 1073741824"}
         assert main(["analyze", "--spec", "cantor", "--depth", "-1"]) == 2
-        assert json.loads(capsys.readouterr().err)["message"] == "depth must be nonnegative"
+        assert json.loads(capsys.readouterr().err)["message"] == "depth must be nonnegative, got -1"
 
     @pytest.mark.parametrize("argv, message", [
         # A built stage has its own, lower limit.
@@ -440,15 +456,18 @@ class TestMainExitCodes:
         (["render", "--spec", "svc:4", "--depth", "18", "--width", "1000000"],
          "render depth 18: rows 0..18 could draw up to 524287 rects, "
          "min(2**k, 1999962) in row k, over the limit of 262144"),
+        *_long_depth_cases(),
     ])
     def test_a_huge_depth_is_refused_at_once(self, argv, message, capsys):
         started = time.perf_counter()
         assert main(argv) == 4
         assert time.perf_counter() - started < 2
-        assert json.loads(capsys.readouterr().err) == {"error": "resource", "message": message}
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 512
+        assert json.loads(err) == {"error": "resource", "message": message}
 
     @pytest.mark.parametrize("es, message", [
-        (CANTOR_TERNARY, "digit enumeration would build up to 2**1000000000 intervals"),
+        (CANTOR_TERNARY, "digit level 1000000000 could hold up to 2**1000000000 intervals"),
         (ExpansionSpec(3, frozenset({0})), "stage 1000000000 could hold up to 2**1000000000 intervals"),
     ])
     def test_a_huge_characterization_depth_is_refused_at_once(self, es, message):
@@ -458,6 +477,10 @@ class TestMainExitCodes:
         assert time.perf_counter() - started < 2
         # Both sides build what they compare, so both have a built stage's limit.
         assert str(exc.value) == f"{message}, over the limit of 262144"
+        # A depth of 4,300 digits is cut where the message names it.
+        with pytest.raises(ResourceLimitError) as exc:
+            characterization_equivalence_check(parse_spec("cantor"), es, 10 ** 4299)
+        assert len(str(exc.value).encode()) < 512 and "... (4300 characters)" in str(exc.value)
 
     def test_error_output_is_a_single_json_line(self, capsys):
         main(["construct", "--spec", "???"])
@@ -887,9 +910,9 @@ class TestEchoedValues:
          "field 'removed' must be a list of integers, got 2"),
         ('{"type": "subdivision", "n": 4, "removed": ["2"]}',
          "removed index '2' is not an integer"),
-        ('{"type": "power", "m": 1}', "power base must be an integer >= 2, got 1"),
+        ('{"type": "power", "m": 1}', "power base must be at least 2, got 1"),
         ('{"type": "subdivision", "n": 2, "removed": [1]}',
-         "part count must be an integer >= 3, got 2"),
+         "part count must be at least 3, got 2"),
         ('{"type": "subdivision", "n": 4, "removed": [4]}',
          "removed index 4 outside the part range 0..3"),
         ('{"type": "proportional", "p": "5/4"}',
@@ -926,6 +949,21 @@ class TestEchoedValues:
     def test_a_long_number_in_a_domain_or_render_check_is_echoed_in_part(self, argv):
         assert "characters)" in assert_error_line(run_main(argv))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["render", "--spec", "cantor", "--depth", "20", "--row-height", "1" + "0" * 4299],
+         f"row height must be at most 2147483647, got 1{'0' * 99}... (4300 characters)"),
+        (["render", "--spec", "cantor", "--depth", "17", "--width", "1" + "0" * 300],
+         f"render width must be at most 2147483647, got 1{'0' * 99}... (301 characters)"),
+    ], ids=["row-height", "width"])
+    def test_a_render_size_over_the_pixel_ceiling_is_refused(self, argv, message):
+        assert assert_error_line(run_main(argv), "validation") == message
+
+    def test_a_render_at_the_pixel_ceiling_is_drawn(self):
+        # 2**18 - 1 rects over rows 0..17, the most a render draws.
+        code, out, err, _ = run_main(["render", "--spec", "cantor", "--depth", "17",
+                                      "--width", "2147483647"])
+        assert (code, err) == (0, "") and out.count("<rect ") == 2 ** 18
+
     @pytest.mark.parametrize("value", ["é" * 100, "\\" * 100, "\U0001F600" * 100, '"' * 100],
                              ids=["accent", "backslash", "astral", "quote"])
     def test_a_value_that_escapes_long_in_json_is_cut_sooner(self, value):
@@ -948,12 +986,17 @@ class TestEchoedValues:
         (lambda: expansion_membership(CANTOR_TERNARY, Fraction(BIG, 3)), DomainError),
         (lambda: cantor_function(Fraction(BIG // 2 + 1, BIG)), DomainError),
         (lambda: RenderConfig(width_px=-BIG), ValidationError),
+        (lambda: RenderConfig(row_height_px=BIG), ValidationError),
+        (lambda: iterate(parse_spec("cantor"), BIG), ResourceLimitError),
+        (lambda: characterization_equivalence_check(parse_spec("cantor"), CANTOR_TERNARY, BIG),
+         ResourceLimitError),
         (lambda: Power([BIG]), ValidationError),
         (lambda: ClosedInterval(BIG, 0), ValidationError),
         (lambda: IntervalUnion((ClosedInterval(0, BIG), ClosedInterval(1, 2))), ValidationError),
     ], ids=["proportion", "power-base", "part-count", "removed-index", "expansion-digit",
             "expansion-base", "period-digit", "allowed-expansion", "limit-membership",
-            "expansion-membership", "cantor-function", "render-width", "power-base-list",
+            "expansion-membership", "cantor-function", "render-width", "render-row-height",
+            "iterate-depth", "characterization-depth", "power-base-list",
             "interval", "union"])
     def test_a_library_call_with_a_number_too_long_to_write_raises_its_error(self, call, error):
         # The CLI refuses such numbers while parsing; a library caller can pass them.
@@ -1097,7 +1140,8 @@ FLAGS = {
 
 @st.composite
 def fuzz_argv(draw):
-    """One command line; depths stay <= 6 and caps <= 200, so every run is bounded.
+    """One command line; depths stay <= 6 or run to 5,000 digits, which every
+    command refuses at once, and caps stay <= 200, so every run is bounded.
 
     An --out value is a bare file name, which the test puts in a fresh directory.
     """
@@ -1108,11 +1152,11 @@ def fuzz_argv(draw):
     values = {
         "--spec": spec_texts(long_ints=command != "member"),
         "--x": _fractions(SMALL_INTS | LONG_INTS),
-        "--depth": _mostly(st.integers(-1, 6).map(str), NOT_INT),
+        "--depth": _mostly(st.integers(-1, 6).map(str), LONG_INTS | NOT_INT),
         "--cap": _mostly(st.integers(-1, 200).map(str), NOT_INT),
         "--format": _mostly(st.sampled_from(["text", "json"]), HOSTILE),
         "--width": _mostly(st.sampled_from(["100", "800"]) | SMALL_INTS, LONG_INTS | NOT_INT),
-        "--row-height": _mostly(st.sampled_from(["8", "24"]), SMALL_INTS | NOT_INT),
+        "--row-height": _mostly(st.sampled_from(["8", "24"]), SMALL_INTS | LONG_INTS | NOT_INT),
         "--out": HOSTILE.filter(lambda name: "/" not in name),
     }
     argv = [command if draw(st.integers(0, 9)) else draw(HOSTILE)]
@@ -1132,6 +1176,10 @@ def fuzz_argv(draw):
 @settings(max_examples=200, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(fuzz_argv())
+# A row height that would make the document's height too long to write, and a
+# depth too long to write whole in one error line.
+@example(["render", "--spec", "cantor", "--depth", "1", "--row-height", str(9 * 10 ** 4299)])
+@example(["construct", "--spec", "cantor", "--depth", str(10 ** 249)])
 def test_fuzz_every_run_keeps_the_error_contract(argv):
     with tempfile.TemporaryDirectory() as out_dir:
         argv = [os.path.join(out_dir, arg) if flag == "--out" else arg

@@ -163,7 +163,7 @@ class TestIterate:
                       lambda: characterization_equivalence_check(cantor, one_digit, 19)):
             with pytest.raises(ResourceLimitError, match=message):
                 build()
-        with pytest.raises(ResourceLimitError, match="^digit enumeration would build up to "
+        with pytest.raises(ResourceLimitError, match="^digit level 19 could hold up to "
                            "2\\*\\*19 intervals, over the limit of 262144$"):
             characterization_equivalence_check(cantor, CANTOR_TERNARY, 19)
         # 2**18 intervals is exactly the limit of a built stage; the check

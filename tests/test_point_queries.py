@@ -109,9 +109,9 @@ def test_zero_and_one_are_endpoints_at_every_cap(name):
 
 def test_a_negative_depth_or_cap_is_refused():
     for spec in (PRESETS["cantor"], PRESETS["ac"], Power(4)):
-        with pytest.raises(ValidationError, match="^depth must be nonnegative$"):
+        with pytest.raises(ValidationError, match="^depth must be nonnegative, got -1$"):
             stage_membership(spec, Fraction(1, 3), -1)
-        with pytest.raises(ValidationError, match="^depth cap must be nonnegative$"):
+        with pytest.raises(ValidationError, match="^depth cap must be nonnegative, got -1$"):
             limit_membership(spec, Fraction(1, 3), -1)
 
 
