@@ -131,9 +131,10 @@ class ExpansionSpec:
     allowed: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
         _at_least(self.base, "expansion base", 2)
-        _check_digits(self.base, self.allowed)
+        allowed = tuple(self.allowed)
+        _check_digits(self.base, allowed)
+        object.__setattr__(self, "allowed", frozenset(allowed))
         if not self.allowed:
             raise ValidationError("at least one digit must be allowed")
         if len(self.allowed) >= self.base:

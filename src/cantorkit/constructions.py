@@ -90,7 +90,11 @@ class Proportional:
     p: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
+        try:
+            object.__setattr__(self, "p", Fraction(self.p))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise ValidationError(
+                f"removal proportion must be a rational number, got {_echo(self.p)}") from None
         if not 0 < self.p < 1:
             raise ValidationError(
                 f"removal proportion must lie in (0, 1), got {_cut(self.p)}")
@@ -118,16 +122,25 @@ class Subdivision:
     Contiguous removed indices are deleted as a single open span, so the
     boundary point between two removed neighbours goes with them, while a
     boundary shared with a kept part survives as a child endpoint.
+
+    `removed` may be any iterable of ints; each index is checked before the
+    frozenset is built, so a bool or an unhashable value is refused rather
+    than hashed. This is the only check of a removed index, spec documents
+    included.
     """
 
     n: int
     removed: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "removed", frozenset(self.removed))
+        removed = tuple(self.removed)
+        for i in removed:
+            if not _is_int(i):
+                raise ValidationError(f"removed index {_echo(i)} is not an integer")
         _at_least(self.n, "part count", 3)
+        object.__setattr__(self, "removed", frozenset(removed))
         for i in self.removed:
-            if not _is_int(i) or not 0 <= i < self.n:
+            if not 0 <= i < self.n:
                 raise ValidationError(
                     f"removed index {_echo(i)} outside the part range 0..{_echo(self.n - 1)}")
         if not self.removed:

@@ -1,9 +1,11 @@
 """Construction spec documents: preset names, JSON documents, fraction strings.
 
-A spec document is a UTF-8 JSON object with a `type` field and the
-family's parameters; unknown fields are rejected. Fractions travel as
-"num/den" strings in lowest terms, denominator always present ("0/1",
-"1/1"). `parse_spec` also accepts the bundled preset names and the
+A spec document is a UTF-8 JSON object with a `type` field naming the
+family and, as its other fields, exactly that family's constructor
+arguments; unknown or missing fields are rejected, and the family checks
+the values. Fractions travel as "num/den" strings in lowest terms,
+denominator always present ("0/1", "1/1"); numbers are read in ASCII
+digits only. `parse_spec` also accepts the bundled preset names and the
 dynamic `svc:<m>` form.
 """
 
@@ -17,9 +19,10 @@ from math import gcd
 
 from .constructions import ConstructionSpec, Power, Proportional, Subdivision
 from .errors import ParseError, ResourceLimitError, _digit_count, _echo
-from .exact import _is_int
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: `\d` and `int()` also read other scripts' digits.
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 PRESETS: dict[str, ConstructionSpec] = {
     "cantor": Proportional(Fraction(1, 3)),
@@ -53,7 +56,7 @@ def _too_many_digits(what: str, text: str) -> ParseError:
 
     States the digit count and the limit rather than echoing the input.
     """
-    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    digits = max(map(len, re.findall(r"[0-9]+", text)), default=0)
     return ParseError(
         f"{what} holds a {digits}-digit integer, over the limit of "
         f"{sys.get_int_max_str_digits()} digits")
@@ -71,33 +74,29 @@ def _too_long_to_write(num: int, den: int) -> ResourceLimitError:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into an exact rational."""
+    """Parse "num/den" (or a bare integer) in ASCII digits into an exact rational."""
     body = text.strip()
-    if not _FRACTION_RE.match(body):
+    if not _FRACTION_RE.fullmatch(body):
         raise ParseError(f"not a fraction: {_echo(body)}")
-    if body.endswith("/0"):
-        raise ParseError(f"zero denominator in {_echo(body)}")
     try:
         return Fraction(body)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {_echo(body)}") from None
     except ValueError:
         raise _too_many_digits("fraction", body) from None
 
 
-_DOCUMENT_FIELDS = {
-    "proportional": {"type", "p"},
-    "power": {"type", "m"},
-    "subdivision": {"type", "n", "removed"},
-}
-
-
-def _require_int(doc: dict, field: str) -> int:
-    value = doc[field]
-    if not _is_int(value):
-        raise ParseError(f"field {field!r} must be an integer, got {_echo(value)}")
-    return value
+_FAMILIES = {"proportional": Proportional, "power": Power, "subdivision": Subdivision}
 
 
 def _parse_document(body: str) -> ConstructionSpec:
+    """The family named by `type`, called with the document's other fields.
+
+    The fields are the family's constructor arguments, which check their
+    own values. Only what a constructor cannot see is checked here: the
+    JSON, the field names, `p` as a fraction string and `removed` as an
+    array.
+    """
     try:
         doc = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -109,32 +108,27 @@ def _parse_document(body: str) -> ConstructionSpec:
     if not isinstance(doc, dict):
         raise ParseError("spec document must be a JSON object")
     kind = doc.get("type")
-    if kind not in _DOCUMENT_FIELDS:
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
         raise ParseError(
             f"unknown construction type {_echo(kind)}; expected one of "
-            f"{sorted(_DOCUMENT_FIELDS)}")
-    expected = _DOCUMENT_FIELDS[kind]
+            f"{sorted(_FAMILIES)}")
+    expected = {"type", *family.__match_args__}
     unknown = set(doc) - expected
     if unknown:
         raise ParseError(f"unknown field(s) {_echo(sorted(unknown))} for type {kind!r}")
     missing = expected - set(doc)
     if missing:
         raise ParseError(f"missing field(s) {sorted(missing)} for type {kind!r}")
-    if kind == "proportional":
-        p = doc["p"]
-        if not isinstance(p, str):
-            raise ParseError(f"field 'p' must be a fraction string, got {_echo(p)}")
-        return Proportional(parse_fraction(p))
-    if kind == "power":
-        return Power(_require_int(doc, "m"))
-    removed = doc["removed"]
-    if not isinstance(removed, list):
+    fields = {name: doc[name] for name in family.__match_args__}
+    if "p" in fields:
+        if not isinstance(fields["p"], str):
+            raise ParseError(f"field 'p' must be a fraction string, got {_echo(fields['p'])}")
+        fields["p"] = parse_fraction(fields["p"])
+    if "removed" in fields and not isinstance(fields["removed"], list):
         raise ParseError(
-            f"field 'removed' must be a list of integers, got {_echo(removed)}")
-    for i in removed:
-        if not _is_int(i):
-            raise ParseError(f"removed index {_echo(i)} is not an integer")
-    return Subdivision(_require_int(doc, "n"), frozenset(removed))
+            f"field 'removed' must be a list of integers, got {_echo(fields['removed'])}")
+    return family(**fields)
 
 
 def parse_spec(text: str) -> ConstructionSpec:
@@ -144,12 +138,12 @@ def parse_spec(text: str) -> ConstructionSpec:
         return PRESETS[body]
     if body.startswith("svc:"):
         tail = body[4:]
+        if not _INT_RE.fullmatch(tail):
+            raise ParseError(f"svc preset needs an integer base, got {_echo(tail)}")
         try:
             m = int(tail)
         except ValueError:
-            if tail.lstrip("+-").isdigit():
-                raise _too_many_digits("svc preset", tail) from None
-            raise ParseError(f"svc preset needs an integer base, got {_echo(tail)}") from None
+            raise _too_many_digits("svc preset", tail) from None
         return Power(m)
     if body.startswith(("{", "[")):
         return _parse_document(body)

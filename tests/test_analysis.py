@@ -153,7 +153,10 @@ class TestDigitExpansions:
         (lambda: DigitExpansion(1, (), (0,)), "expansion base must be at least 2, got 1"),
         (lambda: DigitExpansion(3, (1,), ()), "period must be nonempty"),
         (lambda: ExpansionSpec(1, frozenset({0})), "expansion base must be at least 2, got 1"),
-    ], ids=["no-digit", "every-digit", "base-1", "empty-period", "spec-base-1"])
+        (lambda: ExpansionSpec(3, [[0]]), "digit [0] outside base-3 range"),
+        (lambda: ExpansionSpec(3, [2, 0, False]), "digit False outside base-3 range"),
+    ], ids=["no-digit", "every-digit", "base-1", "empty-period", "spec-base-1", "list-digit",
+            "bool-digit"])
     def test_invalid_expansions_are_refused(self, make, message):
         with pytest.raises(ValidationError) as exc:
             make()

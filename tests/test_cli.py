@@ -97,7 +97,8 @@ class TestFractionStrings:
         assert parse_fraction("-2/8") == Fraction(-1, 4)
 
     def test_parse_rejects_noise(self):
-        for bad in ("", "one third", "1.5", "1/3/5", "1/ 3", "0x3", "1/0"):
+        for bad in ("", "one third", "1.5", "1/3/5", "1/ 3", "0x3", "1/0", "1/00", "-5/000",
+                    "\u0661/\u0663", "1_0/3"):
             with pytest.raises(ParseError):
                 parse_fraction(bad)
 
@@ -141,10 +142,7 @@ class TestParseSpec:
             '{"type": "proportional", "p": 0.3333}',
             '{"type": "proportional", "p": "1/3", "extra": 1}',
             '{"type": "mystery", "p": "1/3"}',
-            '{"type": "power", "m": "2"}',
-            '{"type": "power", "m": true}',
             '{"type": "subdivision", "n": 4, "removed": 2}',
-            '{"type": "subdivision", "n": 4, "removed": ["2"]}',
             '{"type": "subdivision", "removed": [2]}',
             '[1, 2]',
             '{"type"',
@@ -153,6 +151,10 @@ class TestParseSpec:
         for doc in bad_docs:
             with pytest.raises(ParseError):
                 parse_spec(doc)
+        for doc in ('{"type": "power", "m": "2"}', '{"type": "power", "m": true}',
+                    '{"type": "subdivision", "n": 4, "removed": ["2"]}'):
+            with pytest.raises(ValidationError):
+                parse_spec(doc)
 
     def test_a_document_that_is_not_an_object(self):
         for doc in ("[1]", " [1, 2] ", "[]"):
@@ -160,6 +162,49 @@ class TestParseSpec:
                 parse_spec(doc)
         message = assert_error_line(run_main(["construct", "--spec", "[1]"]), "parse")
         assert message == "spec document must be a JSON object"
+
+    # Values for a document's integer fields, wrong and right: a document and
+    # the family constructor called with the same values must agree.
+    FIELD_VALUES = ['"2"', "true", "1.5", "null", "[1, true]", "[[1]]", "[-1]", "[4]",
+                    "2", "3", "4", "5"]
+    INDEX_LISTS = ["[1, true]", "[[1]]", "[-1]", "[4]", "[5, 4]", "[]", "[1]", "[2, 3]",
+                   "[0, 1, 2, 3]"]
+
+    def test_a_document_and_its_family_agree(self):
+        def outcome(make):
+            try:
+                return make()
+            except ValidationError as exc:
+                return str(exc)
+
+        cases = [('{"type": "power", "m": %s}' % m, Power, (m,)) for m in self.FIELD_VALUES]
+        cases += [('{"type": "subdivision", "n": %s, "removed": %s}' % (n, removed),
+                   Subdivision, (n, removed))
+                  for n in self.FIELD_VALUES for removed in self.INDEX_LISTS]
+        for doc, family, values in cases:
+            want = outcome(lambda: family(*map(json.loads, values)))
+            assert outcome(lambda: parse_spec(doc)) == want, doc
+
+    @pytest.mark.parametrize("argv, message", [
+        (["member", "--spec", "cantor", "--x", "1/00"], "zero denominator in '1/00'"),
+        (["member", "--spec", "cantor", "--x", "-1/00"], "zero denominator in '-1/00'"),
+        (["cantorfun", "--x", "5/000"], "zero denominator in '5/000'"),
+        (["construct", "--spec", '{"type": "proportional", "p": "0/00"}'],
+         "zero denominator in '0/00'"),
+        (["member", "--spec", "cantor", "--x", "\u0661/\u0663"],
+         "not a fraction: '\u0661/\u0663'"),
+        (["construct", "--spec", "svc:\u0664"], "svc preset needs an integer base, got '\u0664'"),
+        (["construct", "--spec", "svc:1_0"], "svc preset needs an integer base, got '1_0'"),
+        (["construct", "--spec", "svc: 4"], "svc preset needs an integer base, got ' 4'"),
+        (["construct", "--spec", '{"type": [1]}'],
+         "unknown construction type [1]; expected one of "
+         "['power', 'proportional', 'subdivision']"),
+    ], ids=["zero-den", "negative-zero-den", "cantorfun-zero-den", "p-zero-den",
+            "arabic-indic-x", "devanagari-svc", "underscore-svc", "space-svc", "list-type"])
+    def test_an_input_outside_the_grammar_is_one_parse_line(self, argv, message):
+        code, _, _, _ = result = run_main(argv)
+        assert code == 2
+        assert assert_error_line(result, "parse") == message
 
     def test_document_validation_still_applies(self):
         with pytest.raises(ValidationError):
@@ -903,7 +948,7 @@ class TestEchoedValues:
         ('{"type": "mystery"}',
          "unknown construction type 'mystery'; expected one of "
          "['power', 'proportional', 'subdivision']"),
-        ('{"type": "power", "m": "2"}', "field 'm' must be an integer, got '2'"),
+        ('{"type": "power", "m": "2"}', "power base must be an integer, got '2'"),
         ('{"type": "proportional", "p": 0.5}',
          "field 'p' must be a fraction string, got 0.5"),
         ('{"type": "subdivision", "n": 4, "removed": 2}',
@@ -1083,8 +1128,15 @@ UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=1000).map(
     lambda x: f"{x.numerator}/{x.denominator}")
 
 
+# Denominators that the grammar or the value refuses: all zeros, or digits
+# of other scripts, which `int()` would read.
+ODD_DENOMINATORS = st.text("0", min_size=1, max_size=4) | st.text(
+    "\u0660\u0661\u0663\u0966\u0969\uff13", min_size=1, max_size=4)
+
+
 def _fractions(ints):
-    return _mostly(UNIT_FRACTIONS | ints | st.builds(lambda a, b: f"{a}/{b}", ints, ints),
+    denominators = _mostly(ints, ODD_DENOMINATORS)
+    return _mostly(UNIT_FRACTIONS | ints | st.builds(lambda a, b: f"{a}/{b}", ints, denominators),
                    HOSTILE)
 
 
@@ -1118,8 +1170,9 @@ def spec_texts(draw, long_ints: bool):
         fields["m"] = draw(_mostly(ints, _json_values(ints)))
     elif kind == "subdivision":
         fields["n"] = n = draw(_mostly(ints, _json_values(ints)))
-        indices = st.lists(st.integers(-1, 12).map(str) | ints,
-                           max_size=1 if len(n) > 40 else 4)
+        index = _mostly(st.integers(-1, 12).map(str) | ints,
+                        st.sampled_from(["true", "[1]", "[[2], 3]"]))
+        indices = st.lists(index, max_size=1 if len(n) > 40 else 4)
         fields["removed"] = draw(_mostly(indices.map(lambda xs: "[" + ", ".join(xs) + "]"),
                                          _json_values(SMALL_INTS)))
     if not draw(st.integers(0, 9)):
@@ -1180,6 +1233,8 @@ def fuzz_argv(draw):
 # depth too long to write whole in one error line.
 @example(["render", "--spec", "cantor", "--depth", "1", "--row-height", str(9 * 10 ** 4299)])
 @example(["construct", "--spec", "cantor", "--depth", str(10 ** 249)])
+# A zero denominator written with two zeros.
+@example(["member", "--spec", "cantor", "--x", "1/00"])
 def test_fuzz_every_run_keeps_the_error_contract(argv):
     with tempfile.TemporaryDirectory() as out_dir:
         argv = [os.path.join(out_dir, arg) if flag == "--out" else arg

@@ -489,6 +489,22 @@ CANTOR = Proportional(Fraction(1, 3))
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: Proportional("x"), "removal proportion must be a rational number, got 'x'"),
+    (lambda: Proportional(None), "removal proportion must be a rational number, got None"),
+    (lambda: Proportional(float("inf")), "removal proportion must be a rational number, got inf"),
+    (lambda: Proportional("1/0"), "removal proportion must be a rational number, got '1/0'"),
+    (lambda: Subdivision(4, [1, True]), "removed index True is not an integer"),
+    (lambda: Subdivision(5, [[1]]), "removed index [1] is not an integer"),
+], ids=["text", "none", "inf", "zero-den", "bool-index", "list-index"])
+def test_a_family_value_that_is_not_a_number_is_refused(call, message):
+    # The family's own error, not the one Fraction() or hashing would raise,
+    # and a bool is not read as the index 1.
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
     (lambda: iterate(CANTOR, 2.5), "depth must be an integer, got 2.5"),
     (lambda: iterate(CANTOR, "3"), "depth must be an integer, got '3'"),
     (lambda: iterate(CANTOR, True), "depth must be an integer, got True"),
