@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -42,7 +41,7 @@ from .constructions import (
     _stall_round,
 )
 from .errors import DomainError, ValidationError, _cut, _echo
-from .exact import _as_fraction, _is_int
+from .exact import _Value, _as_fraction, _is_int, _items
 
 
 def _census_round(factor: int, rule: Callable, c: int, census: Counter, den: int) -> Counter:
@@ -123,16 +122,19 @@ def _check_digits(base: int, digits: Iterable[object]) -> None:
             raise ValidationError(f"digit {_echo(d)} outside base-{_echo(base)} range")
 
 
-@dataclass(frozen=True)
-class ExpansionSpec:
+class ExpansionSpec(_Value):
     """Digit filter: base-b expansions restricted to the allowed digits."""
 
-    base: int
-    allowed: frozenset[int]
+    __match_args__ = ("base", "allowed")
+
+    def __init__(self, base: int, allowed: frozenset[int]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "allowed", allowed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _at_least(self.base, "expansion base", 2)
-        allowed = tuple(self.allowed)
+        allowed = _items(self.allowed, "allowed digits")
         _check_digits(self.base, allowed)
         object.__setattr__(self, "allowed", frozenset(allowed))
         if not self.allowed:
@@ -141,17 +143,20 @@ class ExpansionSpec:
             raise ValidationError("at least one digit must be forbidden")
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(_Value):
     """Eventually periodic base-b digit string after the radix point."""
 
-    base: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __match_args__ = ("base", "preperiod", "period")
+
+    def __init__(self, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
+        object.__setattr__(self, "preperiod", _items(self.preperiod, "preperiod"))
+        object.__setattr__(self, "period", _items(self.period, "period"))
         _at_least(self.base, "expansion base", 2)
         if not self.period:
             raise ValidationError("period must be nonempty")
@@ -251,26 +256,32 @@ def cantor_function(x: Fraction) -> Fraction:
     return _digits_value(2, [d // 2 for d in preperiod], [d // 2 for d in period])
 
 
-@dataclass(frozen=True)
-class Characterized:
+class Characterized(_Value):
     """The stage sets coincide with the allowed-digit prefix sets."""
 
-    spec: ExpansionSpec
+    __match_args__ = ("spec",)
+
+    def __init__(self, spec: ExpansionSpec) -> None:
+        object.__setattr__(self, "spec", spec)
 
 
-@dataclass(frozen=True)
-class NotCharacterizable:
+class NotCharacterizable(_Value):
     """No digit filter matches; `reason` records why and the search scope."""
 
-    reason: str
+    __match_args__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class MismatchWitness:
+class MismatchWitness(_Value):
     """A concrete rational separating stage `depth` from the digit prefix set."""
 
-    depth: int
-    point: Fraction
+    __match_args__ = ("depth", "point")
+
+    def __init__(self, depth: int, point: Fraction) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "point", point)
 
 
 CharacterizationVerdict = Characterized | NotCharacterizable | MismatchWitness

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from ast import literal_eval
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
@@ -203,6 +202,8 @@ class _ArgumentParser(argparse.ArgumentParser):
             text, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
             head, tail = _AMBIGUOUS, sep + matches
         else:
+            # Loaded here only: a request that parses never loads `ast`.
+            from ast import literal_eval
             raise ParseError(re.sub(_REPR,
                 lambda m: m[0] if len(m[0]) <= 102 and _fits(m[0])
                 else _echo(literal_eval(m[0])), message))

@@ -45,7 +45,6 @@ never shrinks, so the visited table is cleared whenever that part grows.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -53,9 +52,10 @@ from .errors import DomainError, ResourceLimitError, ValidationError, _cut, _ech
 from .exact import (
     ClosedInterval,
     IntervalUnion,
+    _Value,
     _as_fraction,
-    _frozen,
     _is_int,
+    _items,
     _new,
     _set_hi,
     _set_lo,
@@ -83,11 +83,14 @@ def _at_least(n: int, what: str, least: int = 0) -> None:
         raise ValidationError(f"{what} must be {floor}, got {_cut(n)}")
 
 
-@dataclass(frozen=True)
-class Proportional:
+class Proportional(_Value):
     """Remove the open centered proportion p of every component, each round."""
 
-    p: Fraction
+    __match_args__ = ("p",)
+
+    def __init__(self, p: Fraction) -> None:
+        object.__setattr__(self, "p", p)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -105,18 +108,20 @@ class Proportional:
         return Fraction(*_child_ints(self))
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(_Value):
     """Remove an open centered interval of length 1/m**k at round k."""
 
-    m: int
+    __match_args__ = ("m",)
+
+    def __init__(self, m: int) -> None:
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _at_least(self.m, "power base", 2)
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(_Value):
     """Split into n equal parts and delete the open spans at `removed` indices.
 
     Contiguous removed indices are deleted as a single open span, so the
@@ -129,11 +134,15 @@ class Subdivision:
     included.
     """
 
-    n: int
-    removed: frozenset[int]
+    __match_args__ = ("n", "removed")
+
+    def __init__(self, n: int, removed: frozenset[int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "removed", removed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        removed = tuple(self.removed)
+        removed = _items(self.removed, "removed indices")
         for i in removed:
             if not _is_int(i):
                 raise ValidationError(f"removed index {_echo(i)} is not an integer")
@@ -192,18 +201,19 @@ def _kept_grid(spec: ConstructionSpec) -> tuple[int, tuple[tuple[int, int], ...]
     return spec.n, tuple(runs)
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class Stage:
+class Stage(_Value):
     """One construction stage: its index, surviving set, and stall flag.
 
     Once `stalled` is true the process is frozen and every later stage
     equals this one.
     """
 
-    index: int
-    intervals: IntervalUnion
-    stalled: bool = False
+    __match_args__ = __slots__ = ("index", "intervals", "stalled")
+
+    def __init__(self, index: int, intervals: IntervalUnion, stalled: bool = False) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "stalled", stalled)
 
 
 def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
@@ -468,32 +478,40 @@ def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     return not _removed_at(spec, x, depth)
 
 
-@dataclass(frozen=True)
-class MemberByCycle:
+class MemberByCycle(_Value):
     """Member: the relative position revisits itself, so x is never removed."""
 
-    cycle_length: int
+    __match_args__ = ("cycle_length",)
+
+    def __init__(self, cycle_length: int) -> None:
+        object.__setattr__(self, "cycle_length", cycle_length)
 
 
-@dataclass(frozen=True)
-class MemberByEndpoint:
+class MemberByEndpoint(_Value):
     """Member: x is an endpoint of a stage-`depth` component, and endpoints persist."""
 
-    depth: int
+    __match_args__ = ("depth",)
+
+    def __init__(self, depth: int) -> None:
+        object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
-class ExcludedAtDepth:
+class ExcludedAtDepth(_Value):
     """Not a member: x lies strictly inside an open interval removed at step `depth`."""
 
-    depth: int
+    __match_args__ = ("depth",)
+
+    def __init__(self, depth: int) -> None:
+        object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
-class UndecidedMemberToDepth:
+class UndecidedMemberToDepth(_Value):
     """x survives every round up to `depth`; no verdict beyond that."""
 
-    depth: int
+    __match_args__ = ("depth",)
+
+    def __init__(self, depth: int) -> None:
+        object.__setattr__(self, "depth", depth)
 
 
 MembershipVerdict = MemberByCycle | MemberByEndpoint | ExcludedAtDepth | UndecidedMemberToDepth

@@ -8,10 +8,10 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import total_ordering
 
-from .errors import ValidationError, _cut, _written
+from .errors import ValidationError, _cut, _echo, _written
 
 
 def _is_int(value: object) -> bool:
@@ -24,30 +24,68 @@ def _as_fraction(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _frozen(cls: type) -> type:
-    """`cls` refusing to assign or delete any name, as a frozen dataclass does.
+def _items(value: object, what: str) -> tuple:
+    """value's items as a tuple; a value that `tuple` cannot read is refused, named by `_echo`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {_echo(value)}") from None
 
-    The `__setattr__` and `__delattr__` that `dataclass(frozen=True)`
-    writes name the class that `slots=True` then replaces, so for a name
-    that is not a field they end in a `TypeError` from `super()`.
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in `__match_args__` and sets them in its own
+    `__init__` with `object.__setattr__`. Equality and hashing read those
+    fields, for instances of the same class only, and the repr writes them
+    as `Name(field=value, ...)`. Assigning or deleting any name raises
+    `dataclasses.FrozenInstanceError`, as a frozen dataclass does; the
+    module is imported only then, so that loading the package does not load
+    it. Pickle and `copy` go through `__getstate__` and `__setstate__`,
+    which also serve the subclasses that keep their fields in `__slots__`.
     """
-    def __setattr__(self, name, value):
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-    return cls
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
 
 
-@_frozen
-@dataclass(frozen=True, order=True, slots=True)
-class ClosedInterval:
+@total_ordering
+class ClosedInterval(_Value):
     """Closed interval [lo, hi]. lo == hi is allowed and marks a single point."""
 
-    lo: Fraction
-    hi: Fraction
+    __match_args__ = __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # An exact Fraction is kept as given; anything else, a subclass
@@ -60,6 +98,13 @@ class ClosedInterval:
             raise ValidationError(
                 f"interval endpoints out of order: [{_cut(self.lo)}, {_cut(self.hi)}]")
 
+    def __lt__(self, other: object) -> bool:
+        # Ordered as the tuple (lo, hi), against intervals only;
+        # `total_ordering` derives the other three comparisons.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) < (other.lo, other.hi)
+
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
@@ -70,9 +115,7 @@ def _cut_interval(iv: ClosedInterval) -> str:
     return _cut(f"[{_written(iv.lo, str)}, {_written(iv.hi, str)}]")
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class IntervalUnion:
+class IntervalUnion(_Value):
     """Strictly increasing, pairwise separated closed intervals.
 
     Consecutive members never touch (prev.hi < next.lo). The constructor
@@ -80,7 +123,11 @@ class IntervalUnion:
     is exact point-set equality because the form is canonical.
     """
 
-    intervals: tuple[ClosedInterval, ...] = ()
+    __match_args__ = __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[ClosedInterval, ...] = ()) -> None:
+        object.__setattr__(self, "intervals", intervals)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", tuple(self.intervals))

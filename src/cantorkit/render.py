@@ -23,8 +23,6 @@ numbers cut to a bounded size (`_cut`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constructions import (
     MAX_BUILT_INTERVALS,
     ConstructionSpec,
@@ -34,6 +32,7 @@ from .constructions import (
     _rounds,
 )
 from .errors import ResourceLimitError, ValidationError, _cut
+from .exact import _Value
 
 _PAD = 10
 _GUTTER = 36
@@ -42,8 +41,7 @@ _BAR_GAP = 6
 _MAX_PX = 2 ** 31 - 1
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+class RenderConfig(_Value):
     """How `render_svg` lays out a diagram.
 
     * `width_px`: the document width in pixels, an int from 100 to
@@ -63,10 +61,15 @@ class RenderConfig:
     naming the value cut (`_cut`).
     """
 
-    width_px: int = 800
-    row_height_px: int = 24
-    depth: int = 4
-    label: bool = False
+    __match_args__ = ("width_px", "row_height_px", "depth", "label")
+
+    def __init__(self, width_px: int = 800, row_height_px: int = 24, depth: int = 4,
+                 label: bool = False) -> None:
+        object.__setattr__(self, "width_px", width_px)
+        object.__setattr__(self, "row_height_px", row_height_px)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for what, n, least in (("render width", self.width_px, 100),

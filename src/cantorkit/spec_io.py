@@ -75,6 +75,8 @@ def _too_long_to_write(num: int, den: int) -> ResourceLimitError:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer) in ASCII digits into an exact rational."""
+    if not isinstance(text, str):
+        raise ParseError(f"a fraction must be text, got {_echo(text)}")
     body = text.strip()
     if not _FRACTION_RE.fullmatch(body):
         raise ParseError(f"not a fraction: {_echo(body)}")
@@ -133,6 +135,8 @@ def _parse_document(body: str) -> ConstructionSpec:
 
 def parse_spec(text: str) -> ConstructionSpec:
     """Resolve a preset name, an svc:<m> form, or a JSON spec document."""
+    if not isinstance(text, str):
+        raise ParseError(f"a spec must be text, got {_echo(text)}")
     body = text.strip()
     if body in PRESETS:
         return PRESETS[body]

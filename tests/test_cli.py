@@ -1051,6 +1051,26 @@ class TestEchoedValues:
         assert len(message.encode()) < 512 and "0" * 50 not in message
         assert re.search(r"<\d+-digit integer>|<list too long to write>", message)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Subdivision(4, 2), ValidationError, "removed indices must be iterable, got 2"),
+        (lambda: ExpansionSpec(3, 5), ValidationError, "allowed digits must be iterable, got 5"),
+        (lambda: DigitExpansion(3, None, (1,)), ValidationError,
+         "preperiod must be iterable, got None"),
+        (lambda: DigitExpansion(3, (), 1), ValidationError, "period must be iterable, got 1"),
+        (lambda: parse_fraction(None), ParseError, "a fraction must be text, got None"),
+        (lambda: parse_fraction(b"1/3"), ParseError, "a fraction must be text, got b'1/3'"),
+        (lambda: parse_spec(3), ParseError, "a spec must be text, got 3"),
+        (lambda: parse_spec(["x" * 200]), ParseError,
+         f"a spec must be text, got ['{'x' * 98}... (204 characters)"),
+    ], ids=["removed", "allowed", "preperiod", "period", "fraction", "fraction-bytes", "spec",
+            "spec-long"])
+    def test_a_library_call_with_a_value_of_the_wrong_kind_raises_its_error(self, call, error,
+                                                                            message):
+        # Only a library caller can pass these: the command line reads text.
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_a_long_interval_endpoint_is_echoed_in_part(self):
         long = 3 ** 4000  # 1,909 digits, under the int-string limit
         # A union refusal cuts each interval as one value, "[lo, hi]".

@@ -45,13 +45,17 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == ["gcd", "j"]
 
 
-def test_the_command_line_loads_neither_typing_nor_pathlib():
-    # -S: no site hooks, so only what cantorkit.cli imports is loaded.
-    code = "import sys, cantorkit.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+def test_a_member_request_loads_no_typing_pathlib_dataclasses_inspect_or_ast():
+    # -S: no site hooks, so only what the request imports is loaded;
+    # -X importtime writes one stderr line per module imported.
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "cantorkit", "member",
+         "--spec", "cantor", "--x", "1/4"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    assert "cantorkit.cli" in loaded
+    assert sorted({"typing", "pathlib", "dataclasses", "inspect", "ast"} & loaded) == []
 
 
 def export_faults(source: str) -> tuple[list[str], list[str]]:
