@@ -128,19 +128,15 @@ class ExpansionSpec(_Value):
     __match_args__ = ("base", "allowed")
 
     def __init__(self, base: int, allowed: frozenset[int]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "allowed", allowed)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _at_least(self.base, "expansion base", 2)
-        allowed = _items(self.allowed, "allowed digits")
-        _check_digits(self.base, allowed)
-        object.__setattr__(self, "allowed", frozenset(allowed))
-        if not self.allowed:
+        _at_least(base, "expansion base", 2)
+        allowed = _items(allowed, "allowed digits")
+        _check_digits(base, allowed)
+        allowed = frozenset(allowed)
+        if not allowed:
             raise ValidationError("at least one digit must be allowed")
-        if len(self.allowed) >= self.base:
+        if len(allowed) >= base:
             raise ValidationError("at least one digit must be forbidden")
+        self.__setstate__((base, allowed))
 
 
 class DigitExpansion(_Value):
@@ -149,18 +145,12 @@ class DigitExpansion(_Value):
     __match_args__ = ("base", "preperiod", "period")
 
     def __init__(self, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "preperiod", _items(self.preperiod, "preperiod"))
-        object.__setattr__(self, "period", _items(self.period, "period"))
-        _at_least(self.base, "expansion base", 2)
-        if not self.period:
+        preperiod, period = _items(preperiod, "preperiod"), _items(period, "period")
+        _at_least(base, "expansion base", 2)
+        if not period:
             raise ValidationError("period must be nonempty")
-        _check_digits(self.base, self.preperiod + self.period)
+        _check_digits(base, preperiod + period)
+        self.__setstate__((base, preperiod, period))
 
     @property
     def value(self) -> Fraction:
@@ -242,7 +232,7 @@ def cantor_function(x: Fraction) -> Fraction:
     Raises DomainError for points outside the set, naming the first digit
     position at which every expansion is forced onto the digit 1.
     """
-    x = _as_fraction(x)
+    x = _as_fraction(x, "query point")
     if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"the function is defined on [0, 1], got {_cut(x)}")
     run = _digit_search(CANTOR_TERNARY, x)
@@ -280,8 +270,7 @@ class MismatchWitness(_Value):
     __match_args__ = ("depth", "point")
 
     def __init__(self, depth: int, point: Fraction) -> None:
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "point", point)
+        self.__setstate__((depth, point))
 
 
 CharacterizationVerdict = Characterized | NotCharacterizable | MismatchWitness

@@ -44,7 +44,8 @@ from .constructions import (
 )
 from .errors import CantorKitError, ParseError, ResourceLimitError, _cut, _echo, _fits
 from .render import RenderConfig, render_svg
-from .spec_io import _ratio_str, _spec_doc, emit_spec, fraction_str, parse_fraction, parse_spec
+from .spec_io import (_INT_RE, _ratio_str, _spec_doc, emit_spec, fraction_str, parse_fraction,
+                      parse_spec)
 
 
 def cmd_construct(spec: ConstructionSpec, depth: int, fmt: str = "text") -> str:
@@ -211,6 +212,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message if shown == repr(text) else head + shown + tail)
 
 
+def _int(text: str) -> int:
+    """An integer option in ASCII digits (`spec_io._INT_RE`), as a spec reads one.
+
+    `int()` also reads `1_0` and other scripts' digits. Surrounding
+    whitespace is allowed, as `parse_fraction` allows it.
+    """
+    if _INT_RE.fullmatch(body := text.strip()):
+        try:
+            return int(body)
+        except ValueError:  # over the int-string limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The command-line parser and its subcommands' parsers by name (its
@@ -238,20 +253,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("construct", help="emit exact stage intervals")
     add_spec(p)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_int, default=3)
     add_common(p)
     p.set_defaults(run=lambda a: cmd_construct(_load_spec(a.spec), a.depth, a.format))
 
     p = sub.add_parser("analyze", help="measures, characterization, census, dimension")
     add_spec(p)
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=_int, default=5)
     add_common(p)
     p.set_defaults(run=lambda a: cmd_analyze(_load_spec(a.spec), a.depth, a.format))
 
     p = sub.add_parser("member", help="limit membership verdict for a rational")
     add_spec(p)
     p.add_argument("--x", required=True, help="query point as num/den")
-    p.add_argument("--cap", type=int, default=DEFAULT_DEPTH_CAP,
+    p.add_argument("--cap", type=_int, default=DEFAULT_DEPTH_CAP,
                    help="depth cap for the membership walk")
     add_common(p)
     p.set_defaults(run=lambda a: cmd_member(
@@ -265,9 +280,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("render", help="SVG iteration diagram")
     add_spec(p)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--row-height", type=int, default=24)
+    p.add_argument("--depth", type=_int, default=4)
+    p.add_argument("--width", type=_int, default=800)
+    p.add_argument("--row-height", type=_int, default=24)
     p.add_argument("--label", action="store_true", help="label rows with stage indices")
     p.add_argument("--out", help="write the SVG to this file instead of stdout")
     p.set_defaults(run=render)

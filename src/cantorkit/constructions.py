@@ -89,18 +89,10 @@ class Proportional(_Value):
     __match_args__ = ("p",)
 
     def __init__(self, p: Fraction) -> None:
+        p = _as_fraction(p, "removal proportion")
+        if not 0 < p < 1:
+            raise ValidationError(f"removal proportion must lie in (0, 1), got {_cut(p)}")
         object.__setattr__(self, "p", p)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "p", Fraction(self.p))
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            raise ValidationError(
-                f"removal proportion must be a rational number, got {_echo(self.p)}") from None
-        if not 0 < self.p < 1:
-            raise ValidationError(
-                f"removal proportion must lie in (0, 1), got {_cut(self.p)}")
 
     @property
     def child_ratio(self) -> Fraction:
@@ -114,11 +106,8 @@ class Power(_Value):
     __match_args__ = ("m",)
 
     def __init__(self, m: int) -> None:
+        _at_least(m, "power base", 2)
         object.__setattr__(self, "m", m)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _at_least(self.m, "power base", 2)
 
 
 class Subdivision(_Value):
@@ -137,25 +126,21 @@ class Subdivision(_Value):
     __match_args__ = ("n", "removed")
 
     def __init__(self, n: int, removed: frozenset[int]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "removed", removed)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        removed = _items(self.removed, "removed indices")
+        removed = _items(removed, "removed indices")
         for i in removed:
             if not _is_int(i):
                 raise ValidationError(f"removed index {_echo(i)} is not an integer")
-        _at_least(self.n, "part count", 3)
-        object.__setattr__(self, "removed", frozenset(removed))
-        for i in self.removed:
-            if not 0 <= i < self.n:
+        _at_least(n, "part count", 3)
+        removed = frozenset(removed)
+        for i in removed:
+            if not 0 <= i < n:
                 raise ValidationError(
-                    f"removed index {_echo(i)} outside the part range 0..{_echo(self.n - 1)}")
-        if not self.removed:
+                    f"removed index {_echo(i)} outside the part range 0..{_echo(n - 1)}")
+        if not removed:
             raise ValidationError("at least one part must be removed")
-        if len(self.removed) >= self.n:
+        if len(removed) >= n:
             raise ValidationError("at least one part must be kept")
+        self.__setstate__((n, removed))
 
 
 ConstructionSpec = Proportional | Power | Subdivision
@@ -211,9 +196,7 @@ class Stage(_Value):
     __match_args__ = __slots__ = ("index", "intervals", "stalled")
 
     def __init__(self, index: int, intervals: IntervalUnion, stalled: bool = False) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "stalled", stalled)
+        self.__setstate__((index, intervals, stalled))
 
 
 def _child_rule(spec: ConstructionSpec) -> tuple[int, Callable]:
@@ -472,7 +455,7 @@ def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     are simply not members.
     """
     _at_least(depth, "depth")
-    x = _as_fraction(x)
+    x = _as_fraction(x, "query point")
     if not 0 <= x.numerator <= x.denominator:
         return False
     return not _removed_at(spec, x, depth)
@@ -574,7 +557,7 @@ def _walk_table(spec: ConstructionSpec) -> tuple[int, tuple[tuple[int, ...], ...
 
 
 def _query_point(x: Fraction) -> Fraction:
-    x = _as_fraction(x)
+    x = _as_fraction(x, "query point")
     if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"membership queries require 0 <= x <= 1, got {_cut(x)}")
     return x

@@ -19,9 +19,18 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_fraction(value: object) -> Fraction:
-    """value as a Fraction: an exact Fraction as given, anything else converted."""
-    return value if type(value) is Fraction else Fraction(value)
+def _as_fraction(value: object, what: str) -> Fraction:
+    """value as a Fraction: an exact Fraction as given, anything else converted.
+
+    The package's one rational reader: a value that `Fraction` cannot read
+    is refused as `{what} must be a rational number`, named by `_echo`.
+    """
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValidationError(f"{what} must be a rational number, got {_echo(value)}") from None
 
 
 def _items(value: object, what: str) -> tuple:
@@ -35,8 +44,10 @@ def _items(value: object, what: str) -> tuple:
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in `__match_args__` and sets them in its own
-    `__init__` with `object.__setattr__`. Equality and hashing read those
+    A subclass names its fields in `__match_args__` and checks its arguments
+    in its own `__init__`, then sets each field once: a single field with
+    `object.__setattr__`, several in one call to `__setstate__`, the setter
+    that pickle and `copy` use too. Equality and hashing read those
     fields, for instances of the same class only, and the repr writes them
     as `Name(field=value, ...)`. Assigning or deleting any name raises
     `dataclasses.FrozenInstanceError`, as a frozen dataclass does; the
@@ -83,20 +94,10 @@ class ClosedInterval(_Value):
     __match_args__ = __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # An exact Fraction is kept as given; anything else, a subclass
-        # included, is converted.
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValidationError(
-                f"interval endpoints out of order: [{_cut(self.lo)}, {_cut(self.hi)}]")
+        lo, hi = _as_fraction(lo, "interval endpoint"), _as_fraction(hi, "interval endpoint")
+        if lo > hi:
+            raise ValidationError(f"interval endpoints out of order: [{_cut(lo)}, {_cut(hi)}]")
+        self.__setstate__((lo, hi))
 
     def __lt__(self, other: object) -> bool:
         # Ordered as the tuple (lo, hi), against intervals only;
@@ -126,16 +127,16 @@ class IntervalUnion(_Value):
     __match_args__ = __slots__ = ("intervals",)
 
     def __init__(self, intervals: tuple[ClosedInterval, ...] = ()) -> None:
-        object.__setattr__(self, "intervals", intervals)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        for prev, cur in zip(self.intervals, self.intervals[1:]):
+        intervals = _items(intervals, "union members")
+        for iv in intervals:
+            if not isinstance(iv, ClosedInterval):
+                raise ValidationError(f"union member {_echo(iv)} is not a ClosedInterval")
+        for prev, cur in zip(intervals, intervals[1:]):
             if not prev.hi < cur.lo:
                 raise ValidationError(
                     "intervals overlap, touch, or are out of order: "
                     f"{_cut_interval(prev)} before {_cut_interval(cur)}")
+        object.__setattr__(self, "intervals", intervals)
 
     def __iter__(self) -> Iterator[ClosedInterval]:
         return iter(self.intervals)

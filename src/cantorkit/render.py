@@ -65,19 +65,12 @@ class RenderConfig(_Value):
 
     def __init__(self, width_px: int = 800, row_height_px: int = 24, depth: int = 4,
                  label: bool = False) -> None:
-        object.__setattr__(self, "width_px", width_px)
-        object.__setattr__(self, "row_height_px", row_height_px)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "label", label)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for what, n, least in (("render width", self.width_px, 100),
-                               ("row height", self.row_height_px, 8)):
+        for what, n, least in (("render width", width_px, 100), ("row height", row_height_px, 8)):
             _at_least(n, what, least)
             if n > _MAX_PX:
                 raise ValidationError(f"{what} must be at most {_MAX_PX}, got {_cut(n)}")
-        _at_least(self.depth, "render depth")
+        _at_least(depth, "render depth")
+        self.__setstate__((width_px, row_height_px, depth, label))
 
 
 def _check_rows(spec: ConstructionSpec, depth: int, inner: int) -> None:

@@ -42,10 +42,11 @@ from cantorkit import (
     parse_fraction,
     parse_spec,
     render_svg,
+    stage_membership,
 )
 from cantorkit import cli, constructions
 from cantorkit.cli import _build_parser, cmd_analyze, cmd_construct, cmd_member, main
-from cantorkit.spec_io import _digit_count
+from cantorkit.spec_io import _INT_RE, _digit_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -199,12 +200,31 @@ class TestParseSpec:
         (["construct", "--spec", '{"type": [1]}'],
          "unknown construction type [1]; expected one of "
          "['power', 'proportional', 'subdivision']"),
+        # Integer options read ASCII digits, as svc:<m> does, not all that int() reads.
+        (["construct", "--spec", "cantor", "--depth", "1_0"],
+         "argument --depth: invalid int value: '1_0'"),
+        (["construct", "--spec", "cantor", "--depth", "\uff12"],
+         "argument --depth: invalid int value: '\uff12'"),
+        (["render", "--spec", "cantor", "--width", "1_000"],
+         "argument --width: invalid int value: '1_000'"),
+        (["render", "--spec", "cantor", "--row-height", "\u0663\u0660"],
+         "argument --row-height: invalid int value: '\u0663\u0660'"),
+        (["member", "--spec", "cantor", "--x", "1/4", "--cap", "1_0"],
+         "argument --cap: invalid int value: '1_0'"),
     ], ids=["zero-den", "negative-zero-den", "cantorfun-zero-den", "p-zero-den",
-            "arabic-indic-x", "devanagari-svc", "underscore-svc", "space-svc", "list-type"])
+            "arabic-indic-x", "devanagari-svc", "underscore-svc", "space-svc", "list-type",
+            "underscore-depth", "full-width-depth", "underscore-width", "arabic-indic-row-height",
+            "underscore-cap"])
     def test_an_input_outside_the_grammar_is_one_parse_line(self, argv, message):
         code, _, _, _ = result = run_main(argv)
         assert code == 2
         assert assert_error_line(result, "parse") == message
+
+    def test_an_integer_option_may_carry_surrounding_whitespace(self):
+        # As --x may; only the digits themselves are ASCII-only.
+        plain = run_main(["construct", "--spec", "cantor", "--depth", "2"])
+        for spaced in (" 2 ", "+2\t"):
+            assert run_main(["construct", "--spec", "cantor", "--depth", spaced]) == plain
 
     def test_document_validation_still_applies(self):
         with pytest.raises(ValidationError):
@@ -1062,8 +1082,22 @@ class TestEchoedValues:
         (lambda: parse_spec(3), ParseError, "a spec must be text, got 3"),
         (lambda: parse_spec(["x" * 200]), ParseError,
          f"a spec must be text, got ['{'x' * 98}... (204 characters)"),
+        (lambda: limit_membership(parse_spec("cantor"), None), ValidationError,
+         "query point must be a rational number, got None"),
+        (lambda: stage_membership(parse_spec("cantor"), None, 3), ValidationError,
+         "query point must be a rational number, got None"),
+        (lambda: cantor_function("x"), ValidationError,
+         "query point must be a rational number, got 'x'"),
+        (lambda: cantor_function(float("inf")), ValidationError,
+         "query point must be a rational number, got inf"),
+        (lambda: ClosedInterval(None, 1), ValidationError,
+         "interval endpoint must be a rational number, got None"),
+        (lambda: IntervalUnion(3), ValidationError, "union members must be iterable, got 3"),
+        (lambda: IntervalUnion([(0, 1), (2, 3)]), ValidationError,
+         "union member (0, 1) is not a ClosedInterval"),
     ], ids=["removed", "allowed", "preperiod", "period", "fraction", "fraction-bytes", "spec",
-            "spec-long"])
+            "spec-long", "limit-membership", "stage-membership", "cantor-function-text",
+            "cantor-function-inf", "interval", "union", "union-member"])
     def test_a_library_call_with_a_value_of_the_wrong_kind_raises_its_error(self, call, error,
                                                                             message):
         # Only a library caller can pass these: the command line reads text.
@@ -1134,11 +1168,9 @@ HOSTILE = st.text(max_size=20) | st.builds(
 
 
 def _not_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return True
-    return False
+    # The CLI's rule for an integer option: ASCII digits, so `1_0` and other
+    # scripts' digits are hostile too.
+    return not _INT_RE.fullmatch(text.strip())
 
 
 # Hostile values for integer flags must not parse: "29" as a depth would ask

@@ -431,13 +431,13 @@ def test_stage_paths_build_no_intervals(monkeypatch):
     # grid directly; a ClosedInterval built on their path means a route back
     # through Fractions.
     built = []
-    post_init = ClosedInterval.__post_init__
+    init = ClosedInterval.__init__
 
-    def counting(self):
-        built.append((self.lo, self.hi))
-        post_init(self)
+    def counting(self, lo, hi):
+        built.append((lo, hi))
+        init(self, lo, hi)
 
-    monkeypatch.setattr(ClosedInterval, "__post_init__", counting)
+    monkeypatch.setattr(ClosedInterval, "__init__", counting)
     spec = parse_spec("cantor")
     render_svg(spec, RenderConfig(depth=8, label=True))
     cmd_construct(spec, 8, "json")
