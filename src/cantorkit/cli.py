@@ -1,6 +1,11 @@
 """Command line interface: construct, analyze, member, render, cantorfun.
 
-A request is parsed once, by its subcommand's parser. Results go to stdout
+Each subcommand's options are declared once, in the option table
+(`_COMMANDS`). A well-formed request is read straight from that table
+(`_read_argv`). Any other argv (help, an abbreviation, `--opt=value`, a
+repeat, a negative value, "--", every error) is parsed by argparse, which is
+imported, and its parser built from the same table, only then
+(`_build_parser`); both paths give the same namespace. Results go to stdout
 (or --out); errors go to stderr as a single JSON line carrying the error
 kind's code, and the exit status is the kind's (see `errors`): 0 success,
 2 parse or validation failure, 3 domain error, 4 resource refusal, running
@@ -9,7 +14,6 @@ out of memory included.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -17,6 +21,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 from .analysis import (
     Characterized,
@@ -176,6 +181,113 @@ def _load_spec(raw: str) -> ConstructionSpec:
     return parse_spec(raw)
 
 
+def _ascii_int(text: str) -> int | None:
+    """An integer option in ASCII digits (`spec_io._INT_RE`), as a spec reads
+    one, or None.
+
+    `int()` also reads `1_0` and other scripts' digits. Surrounding
+    whitespace is allowed, as `parse_fraction` allows it.
+    """
+    if _INT_RE.fullmatch(body := text.strip()):
+        try:
+            return int(body)
+        except ValueError:  # over the int-string limit
+            pass
+    return None
+
+
+def _int(text: str) -> int:
+    """argparse's reader of an integer option: `_ascii_int`, or its refusal."""
+    if (value := _ascii_int(text)) is None:
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
+def _render(a) -> str:
+    # The options are checked before the spec is loaded.
+    cfg = RenderConfig(width_px=a.width, row_height_px=a.row_height, depth=a.depth,
+                       label=a.label)
+    return render_svg(_load_spec(a.spec), cfg)
+
+
+# The option table: each subcommand's help, handler and options, in the order
+# `--help` lists them. A handler looks up what it calls in this module's
+# globals when it runs, so a function replaced there (a tracing wrapper, say)
+# is the one called. An option maps its flag to (dest, reader, default,
+# required, help); a reader is `_int`, a tuple of choices, `str` for the text
+# as given, or `bool` for a flag that takes no value and sets True.
+_SPEC = ("spec", str, None, True,
+         "preset name, svc:<m>, inline JSON document, or path to a document file")
+_X = ("x", str, None, True, "query point as num/den")
+_FORMAT = ("format", ("text", "json"), "text", False, None)
+_OUT = ("out", str, None, False, "write the result to this file instead of stdout")
+_COMMANDS = {
+    "construct": ("emit exact stage intervals",
+                  lambda a: cmd_construct(_load_spec(a.spec), a.depth, a.format),
+                  {"--spec": _SPEC, "--depth": ("depth", _int, 3, False, None),
+                   "--format": _FORMAT, "--out": _OUT}),
+    "analyze": ("measures, characterization, census, dimension",
+                lambda a: cmd_analyze(_load_spec(a.spec), a.depth, a.format),
+                {"--spec": _SPEC, "--depth": ("depth", _int, 5, False, None),
+                 "--format": _FORMAT, "--out": _OUT}),
+    "member": ("limit membership verdict for a rational",
+               lambda a: cmd_member(_load_spec(a.spec), parse_fraction(a.x), a.cap, a.format),
+               {"--spec": _SPEC, "--x": _X,
+                "--cap": ("cap", _int, DEFAULT_DEPTH_CAP, False,
+                          "depth cap for the membership walk"),
+                "--format": _FORMAT, "--out": _OUT}),
+    "render": ("SVG iteration diagram", _render,
+               {"--spec": _SPEC, "--depth": ("depth", _int, 4, False, None),
+                "--width": ("width", _int, 800, False, None),
+                "--row-height": ("row_height", _int, 24, False, None),
+                "--label": ("label", bool, False, False, "label rows with stage indices"),
+                "--out": ("out", str, None, False,
+                          "write the SVG to this file instead of stdout")}),
+    "cantorfun": ("exact digit-halving function value",
+                  lambda a: fraction_str(cantor_function(parse_fraction(a.x))),
+                  {"--x": _X, "--out": _OUT}),
+}
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """A well-formed request's namespace, read from the option table, or None.
+
+    Well formed: argv[0] names a subcommand; after it each option is named
+    exactly, at most once, and each but `--label` is followed by one value
+    that does not start with "-" and that its reader accepts; every required
+    option is given. The namespace holds what argparse's would: `command`,
+    every dest and `run`.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, run, options = command
+    values = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        option = options.get(flag)
+        if option is None or option[0] in values:
+            return None
+        dest, reader = option[0], option[1]
+        if reader is bool:
+            values[dest] = True
+            continue
+        text = next(rest, "-")  # a flag that ends argv has no value
+        if text.startswith("-"):
+            return None
+        value = _ascii_int(text) if reader is _int else text
+        if value is None or type(reader) is tuple and text not in reader:
+            return None
+        values[dest] = value
+    for dest, _, default, required, _ in options.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    return SimpleNamespace(command=argv[0], **values, run=run)
+
+
 # argparse writes an offending value as its repr. Only the escapes repr
 # produces are matched, so literal_eval decodes every match. The pattern is
 # compiled by the first argument error that uses it, and cached by `re`.
@@ -186,111 +298,69 @@ _UNRECOGNIZED = "unrecognized arguments: "
 _AMBIGUOUS = "ambiguous option: "
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Argument errors raise ParseError, so they end in the JSON error line."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # A negative fraction such as -1/3 is a value, as -1 and -0.5 already are.
-        self._negative_number_matcher = re.compile(
-            self._negative_number_matcher.pattern + r"|^-\d+/\d+$")
-
-    def error(self, message: str):
-        # argparse writes the offending text in these two messages unquoted.
-        if message.startswith(_UNRECOGNIZED):
-            head, text, tail = _UNRECOGNIZED, message[len(_UNRECOGNIZED):], ""
-        elif message.startswith(_AMBIGUOUS):
-            text, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
-            head, tail = _AMBIGUOUS, sep + matches
-        else:
-            # Loaded here only: a request that parses never loads `ast`.
-            from ast import literal_eval
-            raise ParseError(re.sub(_REPR,
-                lambda m: m[0] if len(m[0]) <= 102 and _fits(m[0])
-                else _echo(literal_eval(m[0])), message))
-        shown = _echo(text)
-        raise ParseError(message if shown == repr(text) else head + shown + tail)
-
-
-def _int(text: str) -> int:
-    """An integer option in ASCII digits (`spec_io._INT_RE`), as a spec reads one.
-
-    `int()` also reads `1_0` and other scripts' digits. Surrounding
-    whitespace is allowed, as `parse_fraction` allows it.
-    """
-    if _INT_RE.fullmatch(body := text.strip()):
-        try:
-            return int(body)
-        except ValueError:  # over the int-string limit
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
 @cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subcommands' parsers by name (its
-    subparsers action's `choices`), built on first use and shared by later calls.
+def _build_parser() -> tuple:
+    """The argparse parser and its subcommands' parsers by name (its
+    subparsers action's `choices`), built from the option table on first use
+    and shared by later calls.
 
-    Sharing is safe: `parse_args` returns a fresh Namespace each time, `prog`
-    is fixed rather than read from sys.argv, and help is formatted per call.
-    Each subcommand binds its handler as `run`. A handler looks up what it
-    calls in this module's globals when it runs, so a function replaced there
-    after the parser is built (a tracing wrapper, say) is the one called.
+    Only an argv that `_read_argv` leaves alone reaches argparse, which is
+    imported here. Sharing is safe: `parse_args` returns a fresh Namespace
+    each time, `prog` is fixed rather than read from sys.argv, and help is
+    formatted per call.
     """
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Argument errors raise ParseError, so they end in the JSON error line."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # A negative fraction such as -1/3 is a value, as -1 and -0.5 already are.
+            self._negative_number_matcher = re.compile(
+                self._negative_number_matcher.pattern + r"|^-\d+/\d+$")
+
+        def _get_values(self, action, arg_strings):
+            # argparse before Python 3.13 (3.10, 3.11 and 3.12.1 at least)
+            # drops the "--" of `--opt=--` and leaves the option an empty
+            # list: a traceback for --spec, no choices check for --format.
+            # Its value is the text "--", as Python 3.13 reads it.
+            if arg_strings == ["--"] and action.nargs is None:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
+        def error(self, message: str):
+            # argparse writes the offending text in these two messages unquoted.
+            if message.startswith(_UNRECOGNIZED):
+                head, text, tail = _UNRECOGNIZED, message[len(_UNRECOGNIZED):], ""
+            elif message.startswith(_AMBIGUOUS):
+                text, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
+                head, tail = _AMBIGUOUS, sep + matches
+            else:
+                # Loaded here only: a request that parses never loads `ast`.
+                from ast import literal_eval
+                raise ParseError(re.sub(_REPR,
+                    lambda m: m[0] if len(m[0]) <= 102 and _fits(m[0])
+                    else _echo(literal_eval(m[0])), message))
+            shown = _echo(text)
+            raise ParseError(message if shown == repr(text) else head + shown + tail)
+
     parser = _ArgumentParser(
         prog="cantorkit",
         description="Exact-arithmetic toolkit for Cantor-like deletion constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_spec(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--spec", required=True,
-            help="preset name, svc:<m>, inline JSON document, or path to a document file")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write the result to this file instead of stdout")
-
-    p = sub.add_parser("construct", help="emit exact stage intervals")
-    add_spec(p)
-    p.add_argument("--depth", type=_int, default=3)
-    add_common(p)
-    p.set_defaults(run=lambda a: cmd_construct(_load_spec(a.spec), a.depth, a.format))
-
-    p = sub.add_parser("analyze", help="measures, characterization, census, dimension")
-    add_spec(p)
-    p.add_argument("--depth", type=_int, default=5)
-    add_common(p)
-    p.set_defaults(run=lambda a: cmd_analyze(_load_spec(a.spec), a.depth, a.format))
-
-    p = sub.add_parser("member", help="limit membership verdict for a rational")
-    add_spec(p)
-    p.add_argument("--x", required=True, help="query point as num/den")
-    p.add_argument("--cap", type=_int, default=DEFAULT_DEPTH_CAP,
-                   help="depth cap for the membership walk")
-    add_common(p)
-    p.set_defaults(run=lambda a: cmd_member(
-        _load_spec(a.spec), parse_fraction(a.x), a.cap, a.format))
-
-    def render(a: argparse.Namespace) -> str:
-        # The options are checked before the spec is loaded.
-        cfg = RenderConfig(width_px=a.width, row_height_px=a.row_height, depth=a.depth,
-                           label=a.label)
-        return render_svg(_load_spec(a.spec), cfg)
-
-    p = sub.add_parser("render", help="SVG iteration diagram")
-    add_spec(p)
-    p.add_argument("--depth", type=_int, default=4)
-    p.add_argument("--width", type=_int, default=800)
-    p.add_argument("--row-height", type=_int, default=24)
-    p.add_argument("--label", action="store_true", help="label rows with stage indices")
-    p.add_argument("--out", help="write the SVG to this file instead of stdout")
-    p.set_defaults(run=render)
-
-    p = sub.add_parser("cantorfun", help="exact digit-halving function value")
-    p.add_argument("--x", required=True, help="query point as num/den")
-    p.add_argument("--out", help="write the result to this file instead of stdout")
-    p.set_defaults(run=lambda a: fraction_str(cantor_function(parse_fraction(a.x))))
+    for name, (summary, run, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, (dest, reader, default, required, help_text) in options.items():
+            if reader is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            else:
+                p.add_argument(flag, dest=dest, type=_int if reader is _int else None,
+                               choices=reader if type(reader) is tuple else None,
+                               default=default, required=required, help=help_text)
+        p.set_defaults(run=run)
     return parser, sub.choices
 
 
@@ -311,10 +381,13 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser, commands = _build_parser()
-        sub = commands.get(argv[0]) if argv else None
-        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
-                else parser.parse_args(argv))
+        args = _read_argv(argv)
+        if args is None:
+            from argparse import Namespace  # loaded for this argv only
+            parser, commands = _build_parser()
+            sub = commands.get(argv[0]) if argv else None
+            args = (sub.parse_args(argv[1:], Namespace(command=argv[0])) if sub
+                    else parser.parse_args(argv))
         try:
             _emit(args.run(args), args.out)
         except MemoryError:

@@ -22,15 +22,19 @@ def _is_int(value: object) -> bool:
 def _as_fraction(value: object, what: str) -> Fraction:
     """value as a Fraction: an exact Fraction as given, anything else converted.
 
-    The package's one rational reader: a value that `Fraction` cannot read
-    is refused as `{what} must be a rational number`, named by `_echo`.
+    The package's one rational reader: a value that `Fraction` cannot read,
+    or a bool, is refused as `{what} must be a rational number`, named by
+    `_echo`. A bool is not read as 0 or 1, as no integer field reads one
+    (`_is_int`).
     """
     if type(value) is Fraction:
         return value
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ValidationError(f"{what} must be a rational number, got {_echo(value)}") from None
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"{what} must be a rational number, got {_echo(value)}")
 
 
 def _items(value: object, what: str) -> tuple:

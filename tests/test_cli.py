@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -713,22 +714,36 @@ def sweep_argv(tmp: str, rng: random.Random) -> list[list[str]]:
     return argvs
 
 
+def argparse_only(monkeypatch):
+    """Make main parse every argv with argparse, as it did before the option table."""
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+
+
 class TestParserReuse:
     def test_the_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 
     def test_the_parser_is_not_built_at_import(self):
-        code = ("import cantorkit.cli as cli\n"
+        # Well-formed calls are read from the option table: no parser is
+        # built and argparse is not imported. The first argv left to argparse
+        # builds the parser, and later ones reuse it.
+        code = ("import sys\n"
+                "import cantorkit.cli as cli\n"
                 "print(cli._build_parser.cache_info().misses)\n"
                 "for _ in range(3):\n"
                 "    cli.main(['cantorfun', '--x', '1/4'])\n"
+                "print(cli._build_parser.cache_info().misses, 'argparse' in sys.modules)\n"
+                "for _ in range(2):\n"
+                "    cli.main(['cantorfun', '--x=1/4'])\n"
                 "print(cli._build_parser.cache_info().misses)\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "1/3", "1/3", "1/3", "1"]
+        assert done.stdout.split() == ["0", "1/3", "1/3", "1/3", "0", "False", "1/3", "1/3",
+                                       "1"]
 
     def test_a_reused_parser_answers_as_a_fresh_one(self, tmp_path, monkeypatch):
+        argparse_only(monkeypatch)
         argvs = sweep_argv(str(tmp_path), random.Random(2718))
         reused = [run_main(argv) for argv in argvs]
         monkeypatch.setattr(cli, "_build_parser", lambda: _build_parser.__wrapped__())
@@ -748,8 +763,11 @@ class TestParserReuse:
          ["construct", "--spec", "cantor", "--depth", "2"],
          lambda out: out.startswith("[0/1, 1/1]\n")),
     ], ids=["label", "cap", "format"])
-    def test_an_option_does_not_leak_into_the_next_call(self, first, second, check,
+    @pytest.mark.parametrize("parse", [lambda monkeypatch: None, argparse_only],
+                             ids=["table", "argparse"])
+    def test_an_option_does_not_leak_into_the_next_call(self, first, second, check, parse,
                                                         monkeypatch):
+        parse(monkeypatch)
         with monkeypatch.context() as patched:
             patched.setattr(cli, "_build_parser", lambda: _build_parser.__wrapped__())
             want = run_main(second)
@@ -772,6 +790,7 @@ EDGE_ARGV = [
 
 def whole_tree(monkeypatch):
     """Make main parse every argv with the whole tree, as it once did."""
+    argparse_only(monkeypatch)
     parser, _ = _build_parser()
     monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
 
@@ -805,11 +824,36 @@ class TestDispatch:
         whole_tree(monkeypatch)
         assert help_text() == dispatched and dispatched.startswith(usage)
 
-    @pytest.mark.parametrize("argv", [
-        ["cantorfun", "--x", "1/4"], ["construct", "--spec", "cantor", "--depth", "x"],
-        [], ["constr", "--spec", "cantor"], ["--spec", "cantor", "construct"],
+    # argparse before Python 3.13 (3.10, 3.11 and 3.12.1 at least) reads
+    # `--opt=--` as an empty list: a traceback for --spec, no choices check
+    # for --format. "--" is the option's text, as Python 3.13 reads it.
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "--spec=--"], "unknown preset '--'"),
+        (["construct", "--sp=--"], "unknown preset '--'"),
+        (["construct", "--spec", "cantor", "--depth=--"],
+         "argument --depth: invalid int value: '--'"),
+        (["cantorfun", "--x=--"], "not a fraction: '--'"),
+        (["construct", "--spec", "cantor", "--format=--"],
+         "argument --format: invalid choice: '--'"),
     ])
-    def test_a_request_that_names_its_command_is_parsed_once(self, argv, monkeypatch):
+    def test_an_equals_value_of_two_dashes_is_read_as_its_text(self, argv, message):
+        result = run_main(argv)
+        assert result[0] == 2
+        assert assert_error_line(result, "parse").startswith(message)
+
+    # A well-formed request makes no argparse pass. Any other argv makes one:
+    # by its subcommand's parser when argv[0] names one, else by the whole tree.
+    @pytest.mark.parametrize("argv, parsed_by", [
+        (["cantorfun", "--x", "1/4"], []),
+        (["render", "--spec", "cantor", "--label", "--depth", "1"], []),
+        (["cantorfun", "--x=1/4"], ["cantorfun"]),
+        (["construct", "--spec", "cantor", "--depth", "x"], ["construct"]),
+        (["member", "--spec", "cantor", "--x", "-1/3"], ["member"]),
+        ([], ["tree"]), (["constr", "--spec", "cantor"], ["tree"]),
+        (["--spec", "cantor", "construct"], ["tree"]),
+    ])
+    def test_a_request_that_names_its_command_is_parsed_once(self, argv, parsed_by,
+                                                             monkeypatch):
         parser, commands = _build_parser.__wrapped__()
         monkeypatch.setattr(cli, "_build_parser", lambda: (parser, commands))
         passes = []
@@ -818,7 +862,91 @@ class TestDispatch:
                                 lambda *a, p=p, parse=p.parse_known_args:
                                 passes.append(p) or parse(*a))
         run_main(argv)
-        assert passes == [commands[argv[0]] if argv and argv[0] in commands else parser]
+        assert passes == [commands.get(name, parser) for name in parsed_by]
+
+
+# Draws for the option table's differential test. Most options come exact,
+# once, with a value their reader takes. The rest are left out, come as
+# `--flag=value`, or take a value some reader refuses: `1_0`, padded and
+# full-width integers, negative and empty values, "--", "-x", `xml`. Stray
+# flags (exact, abbreviated, repeated, `-h`, "--") and values come between.
+# The test runs in a fresh directory, so every --out file, however its flag
+# is spelled, lands there.
+TABLE_GOOD = {"--spec": ["cantor", "ac", "svc:4"], "--x": ["1/4", "3/4", "1/3", "0"],
+              "--depth": ["0", "2", " 3 "], "--cap": ["5", "50"], "--format": ["text", "json"],
+              "--width": ["100", "320"], "--row-height": ["8", "24"], "--out": ["out.txt"]}
+TABLE_ODD_FLAGS = ["--spec", "--x", "--depth", "--cap", "--format", "--width", "--row-height",
+                   "--label", "--out", "--sp", "--dep", "--c", "--form", "--w", "--row",
+                   "--lab", "--ou", "--", "-h"]
+TABLE_VALUES = st.sampled_from([
+    "cantor", "1/4", "0", "9", " 2 ", "1_0", "\uff12", "-1", "-1/3", "", "-", "--", "-x",
+    "--depth", "text", "json", "xml", "x", "out.txt"])
+
+
+@st.composite
+def table_argv(draw):
+    """A command line over the subcommands' flags, well formed about half the time."""
+    command = draw(_mostly(st.sampled_from(sorted(FLAGS)),
+                           st.sampled_from(["constr", "--spec", "bogus"])))
+    required = {"member": ["--spec", "--x"], "cantorfun": ["--x"]}.get(command, ["--spec"])
+    flags = draw(st.lists(st.sampled_from(FLAGS.get(command, FLAGS["construct"])), unique=True))
+    argv = [command]
+    for flag in draw(st.permutations(required + flags)):
+        form = draw(st.integers(0, 19))
+        if form < 15 and flag == "--label":
+            argv.append(flag)
+        elif form < 15:
+            argv += [flag, draw(st.sampled_from(TABLE_GOOD[flag]))]
+        elif form < 17:
+            argv += [flag, draw(TABLE_VALUES)]
+        elif form == 17:
+            argv.append(f"{flag}={draw(TABLE_VALUES)}")
+        elif form == 18:
+            argv += draw(st.lists(st.sampled_from(TABLE_ODD_FLAGS) | TABLE_VALUES, max_size=2))
+        # form 19 leaves the option out.
+    return argv
+
+
+def run_main_writing(argv):
+    """run_main's result and every file main left in the working directory,
+    read and removed."""
+    result = run_main(argv)
+    left = {}
+    for name in sorted(os.listdir()):
+        left[name] = Path(name).read_bytes()
+        os.remove(name)
+    return result, left
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_argv())
+@example(["member", "--spec", "cantor", "--x", "1/4", "--cap", "1_0"])
+@example(["member", "--spec", "cantor", "--x", "1/4", "--format", "xml"])
+@example(["member", "--x", "1/4"])
+@example(["cantorfun", "--x", "-1/3"])
+@example(["construct", "--spec", "-x"])
+@example(["render", "--spec", "", "--label", "x", "--width", " 100 "])
+@example(["construct", "--spec", "cantor", "--", "--depth", "\uff12"])
+@example(["construct", "--sp", "ac", "--depth=2", "--depth", "2", "--out", "out.txt"])
+@example(["construct", "--spec", "ac", "--out=--"])
+def test_the_option_table_reads_a_request_as_argparse_does(argv):
+    # The reader's namespace is the one argparse gives the subcommand's
+    # parser, and main's answer is the same with the reader forced to None.
+    read = cli._read_argv(argv)
+    if read is not None:
+        _, commands = _build_parser()
+        parsed = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        assert vars(read) == vars(parsed)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as out_dir:
+        os.chdir(out_dir)
+        try:
+            got = run_main_writing(argv)
+            with pytest.MonkeyPatch.context() as patched:
+                argparse_only(patched)
+                assert run_main_writing(argv) == got
+        finally:
+            os.chdir(cwd)
 
 
 class TestNegativeFractionValues:
@@ -1095,9 +1223,22 @@ class TestEchoedValues:
         (lambda: IntervalUnion(3), ValidationError, "union members must be iterable, got 3"),
         (lambda: IntervalUnion([(0, 1), (2, 3)]), ValidationError,
          "union member (0, 1) is not a ClosedInterval"),
+        # A bool is not read as 0 or 1, as no integer field reads one.
+        (lambda: ClosedInterval(False, True), ValidationError,
+         "interval endpoint must be a rational number, got False"),
+        (lambda: limit_membership(parse_spec("cantor"), True), ValidationError,
+         "query point must be a rational number, got True"),
+        (lambda: stage_membership(parse_spec("cantor"), True, 3), ValidationError,
+         "query point must be a rational number, got True"),
+        (lambda: cantor_function(True), ValidationError,
+         "query point must be a rational number, got True"),
+        (lambda: Proportional(True), ValidationError,
+         "removal proportion must be a rational number, got True"),
     ], ids=["removed", "allowed", "preperiod", "period", "fraction", "fraction-bytes", "spec",
             "spec-long", "limit-membership", "stage-membership", "cantor-function-text",
-            "cantor-function-inf", "interval", "union", "union-member"])
+            "cantor-function-inf", "interval", "union", "union-member", "interval-bool",
+            "limit-membership-bool", "stage-membership-bool", "cantor-function-bool",
+            "proportion-bool"])
     def test_a_library_call_with_a_value_of_the_wrong_kind_raises_its_error(self, call, error,
                                                                             message):
         # Only a library caller can pass these: the command line reads text.

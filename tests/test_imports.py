@@ -45,17 +45,37 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == ["gcd", "j"]
 
 
-def test_a_member_request_loads_no_typing_pathlib_dataclasses_inspect_or_ast():
-    # -S: no site hooks, so only what the request imports is loaded;
-    # -X importtime writes one stderr line per module imported.
+def member_process(*options: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """A `member --spec cantor --x 1/4` process and the modules it loaded.
+
+    -S: no site hooks, so only what the request imports is loaded;
+    -X importtime writes one stderr line per module imported.
+    """
     done = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "cantorkit", "member",
-         "--spec", "cantor", "--x", "1/4"], capture_output=True, text=True,
+         "--spec", "cantor", "--x", "1/4", *options], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    return done, {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
+def test_a_member_request_loads_no_typing_pathlib_dataclasses_inspect_or_ast():
+    # A well-formed request is read from the option table, so argparse and
+    # the gettext it imports are not loaded either.
+    done, loaded = member_process()
     assert done.returncode == 0, done.stderr
-    loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
     assert "cantorkit.cli" in loaded
-    assert sorted({"typing", "pathlib", "dataclasses", "inspect", "ast"} & loaded) == []
+    assert sorted({"typing", "pathlib", "dataclasses", "inspect", "ast", "argparse",
+                   "gettext"} & loaded) == []
+
+
+def test_a_member_request_that_argparse_refuses_still_answers_one_json_line():
+    done, loaded = member_process("--cap", "1_0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "argparse" in loaded
+    lines = [line for line in done.stderr.splitlines() if not line.startswith("import time:")]
+    assert lines == ['{"error": "parse", "message": "argument --cap: invalid int value: '
+                     "'1_0'\"}"]
 
 
 def export_faults(source: str) -> tuple[list[str], list[str]]:
