@@ -331,6 +331,13 @@ def _build_parser() -> tuple:
                 return value
             return super()._get_values(action, arg_strings)
 
+        def _check_value(self, action, value):
+            # Python 3.13.1 and later list the choices unquoted; every
+            # Python here writes each choice as its repr, as 3.10-3.13.0 do.
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)" % (
+                    value, ", ".join(map(repr, action.choices))))
+
         def error(self, message: str):
             # argparse writes the offending text in these two messages unquoted.
             if message.startswith(_UNRECOGNIZED):

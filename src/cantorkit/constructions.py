@@ -162,7 +162,14 @@ _SELF_SIMILAR_POWERS = {3: (3, ((0, 1), (2, 3)))}
 
 
 def _self_similar(spec: ConstructionSpec) -> bool:
-    """Whether the spec has a kept-run table (`_kept_grid`)."""
+    """Whether the spec has a kept-run table (`_kept_grid`).
+
+    Every public function that takes a spec asks this before any round,
+    so it is where a value that is not a spec is refused, named by `_echo`.
+    """
+    if not isinstance(spec, ConstructionSpec):
+        raise ValidationError(
+            f"a construction spec must be a Proportional, Power or Subdivision, got {_echo(spec)}")
     return not isinstance(spec, Power) or spec.m in _SELF_SIMILAR_POWERS
 
 
@@ -258,7 +265,7 @@ def _stall_round(spec: ConstructionSpec) -> int | None:
     2**-(k-1) * (1 - sum_{j<k} 2**(j-1) / m**j) never drops below it for an
     integer m >= 2. The two are equal only at m = 2, k = 2: four points.
     """
-    return 2 if isinstance(spec, Power) and spec.m == 2 else None
+    return None if _self_similar(spec) or spec.m != 2 else 2
 
 
 def _round(factor: int, rule: Callable, c: int, pairs: list[tuple[int, int]],
@@ -457,6 +464,7 @@ def stage_membership(spec: ConstructionSpec, x: Fraction, depth: int) -> bool:
     _at_least(depth, "depth")
     x = _as_fraction(x, "query point")
     if not 0 <= x.numerator <= x.denominator:
+        _self_similar(spec)  # a value that is not a spec is refused all the same
         return False
     return not _removed_at(spec, x, depth)
 

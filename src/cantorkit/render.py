@@ -31,7 +31,7 @@ from .constructions import (
     _round,
     _rounds,
 )
-from .errors import ResourceLimitError, ValidationError, _cut
+from .errors import ResourceLimitError, ValidationError, _cut, _echo
 from .exact import _Value
 
 _PAD = 10
@@ -53,8 +53,9 @@ class RenderConfig(_Value):
       0..depth give depth + 1 rows; `render_svg` refuses a depth whose
       rows could draw over `MAX_BUILT_INTERVALS` rects in all, at most
       min(branch**k, 2*inner + 2) in row k for an inner width of inner px.
-    * `label`: when true, each row is labelled with its stage index in the
-      gutter; the rows after a stall repeat the stalled stage's index.
+    * `label`: True or False; when True, each row is labelled with its
+      stage index in the gutter; the rows after a stall repeat the stalled
+      stage's index.
 
     Each field is refused as it is checked, with one `ValidationError`: a
     floor through `_at_least` and the pixel ceiling in the same loop, each
@@ -70,6 +71,8 @@ class RenderConfig(_Value):
             if n > _MAX_PX:
                 raise ValidationError(f"{what} must be at most {_MAX_PX}, got {_cut(n)}")
         _at_least(depth, "render depth")
+        if type(label) is not bool:
+            raise ValidationError(f"render label must be True or False, got {_echo(label)}")
         self.__setstate__((width_px, row_height_px, depth, label))
 
 

@@ -17,8 +17,9 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .constructions import ConstructionSpec, Power, Proportional, Subdivision
+from .constructions import ConstructionSpec, Power, Proportional, Subdivision, _self_similar
 from .errors import ParseError, ResourceLimitError, _digit_count, _echo
+from .exact import _as_fraction
 
 # ASCII digits only: `\d` and `int()` also read other scripts' digits.
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -37,8 +38,11 @@ PRESETS: dict[str, ConstructionSpec] = {
 
 
 def fraction_str(x: Fraction) -> str:
-    """Canonical "num/den" form, lowest terms, denominator always written."""
-    x = Fraction(x)
+    """Canonical "num/den" form, lowest terms, denominator always written.
+
+    x is read as every rational argument is (`_as_fraction`).
+    """
+    x = _as_fraction(x, "fraction")
     return _ratio_str(x.numerator, x.denominator)
 
 
@@ -157,7 +161,11 @@ def parse_spec(text: str) -> ConstructionSpec:
 
 
 def _spec_doc(spec: ConstructionSpec) -> dict:
-    """The canonical spec document as a dict, the `spec` field of JSON output."""
+    """The canonical spec document as a dict, the `spec` field of JSON output.
+
+    A value that is not a spec is refused (`_self_similar`).
+    """
+    _self_similar(spec)
     if isinstance(spec, Proportional):
         return {"type": "proportional", "p": fraction_str(spec.p)}
     if isinstance(spec, Power):

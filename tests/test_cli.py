@@ -36,13 +36,17 @@ from cantorkit import (
     cantor_function,
     characterization_equivalence_check,
     emit_spec,
+    expansion_characterization,
     expansion_membership,
     fraction_str,
     iterate,
+    limit_is_degenerate,
+    limit_measure,
     limit_membership,
     parse_fraction,
     parse_spec,
     render_svg,
+    stage_measure,
     stage_membership,
 )
 from cantorkit import cli, constructions
@@ -841,6 +845,17 @@ class TestDispatch:
         assert result[0] == 2
         assert assert_error_line(result, "parse").startswith(message)
 
+    # Python 3.13.1 and later list the choices unquoted; cli writes each as
+    # its repr on every Python.
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "--spec", "cantor", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["nope"], "argument command: invalid choice: 'nope' (choose from 'construct', "
+                   "'analyze', 'member', 'render', 'cantorfun')"),
+    ])
+    def test_an_invalid_choice_lists_each_choice_as_its_repr(self, argv, message):
+        assert assert_error_line(run_main(argv), "parse") == message
+
     # A well-formed request makes no argparse pass. Any other argv makes one:
     # by its subcommand's parser when argv[0] names one, else by the whole tree.
     @pytest.mark.parametrize("argv, parsed_by", [
@@ -1085,6 +1100,7 @@ class TestOutputIntegerLimit:
 
 
 LONG_TEXT = "k" * 5000
+NOT_A_SPEC = "a construction spec must be a Proportional, Power or Subdivision, got "
 LONG_INT = "3" * 4000
 BIG = 10 ** 5000
 
@@ -1234,11 +1250,40 @@ class TestEchoedValues:
          "query point must be a rational number, got True"),
         (lambda: Proportional(True), ValidationError,
          "removal proportion must be a rational number, got True"),
+        # A value that is not a spec is refused, not read as some family.
+        (lambda: limit_measure("svc:4"), ValidationError, NOT_A_SPEC + "'svc:4'"),
+        (lambda: limit_measure(None), ValidationError, NOT_A_SPEC + "None"),
+        (lambda: limit_is_degenerate("svc:2"), ValidationError, NOT_A_SPEC + "'svc:2'"),
+        (lambda: iterate("cantor", 2), ValidationError, NOT_A_SPEC + "'cantor'"),
+        (lambda: stage_measure("cantor", 2), ValidationError, NOT_A_SPEC + "'cantor'"),
+        (lambda: limit_membership("cantor", Fraction(1, 4)), ValidationError,
+         NOT_A_SPEC + "'cantor'"),
+        (lambda: stage_membership("cantor", 2, 3), ValidationError, NOT_A_SPEC + "'cantor'"),
+        (lambda: expansion_characterization(3), ValidationError, NOT_A_SPEC + "3"),
+        (lambda: characterization_equivalence_check("cantor", CANTOR_TERNARY, 2),
+         ValidationError, NOT_A_SPEC + "'cantor'"),
+        (lambda: render_svg(3), ValidationError, NOT_A_SPEC + "3"),
+        (lambda: emit_spec(3), ValidationError, NOT_A_SPEC + "3"),
+        (lambda: fraction_str(True), ValidationError,
+         "fraction must be a rational number, got True"),
+        (lambda: fraction_str(None), ValidationError,
+         "fraction must be a rational number, got None"),
+        (lambda: fraction_str("x"), ValidationError,
+         "fraction must be a rational number, got 'x'"),
+        (lambda: fraction_str(float("inf")), ValidationError,
+         "fraction must be a rational number, got inf"),
+        (lambda: RenderConfig(label="no"), ValidationError,
+         "render label must be True or False, got 'no'"),
     ], ids=["removed", "allowed", "preperiod", "period", "fraction", "fraction-bytes", "spec",
             "spec-long", "limit-membership", "stage-membership", "cantor-function-text",
             "cantor-function-inf", "interval", "union", "union-member", "interval-bool",
             "limit-membership-bool", "stage-membership-bool", "cantor-function-bool",
-            "proportion-bool"])
+            "proportion-bool", "limit-measure-text", "limit-measure-none",
+            "limit-is-degenerate-text", "iterate-text", "stage-measure-text",
+            "limit-membership-text", "stage-membership-outside-text",
+            "expansion-characterization-int", "characterization-check-text", "render-int",
+            "emit-spec-int", "fraction-str-bool", "fraction-str-none", "fraction-str-text",
+            "fraction-str-inf", "render-label-text"])
     def test_a_library_call_with_a_value_of_the_wrong_kind_raises_its_error(self, call, error,
                                                                             message):
         # Only a library caller can pass these: the command line reads text.

@@ -1,9 +1,12 @@
 """Import hygiene: every name a module imports is referenced in that module,
 and the command line loads no module it does not run.
 
-Stdlib `ast` only, so it runs wherever the tests run. `__init__.py` is
-skipped because its imports are the package's re-exports, and
-`from __future__` imports bind no name.
+Stdlib `ast` only, so it runs wherever the tests run; `from __future__`
+imports bind no name. The package's exports are declared once, in
+`cantorkit._EXPORTS`, and a name's module loads when the name is first
+read: a process checks that `import cantorkit` loads none of them, that a
+read loads only the name's module and what it imports, and that a star
+import binds every listed name to the object its module holds.
 """
 
 import ast
@@ -15,9 +18,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in [*ROOT.glob("src/cantorkit/*.py"), *ROOT.glob("tests/*.py")]
-    if p.name != "__init__.py")
+MODULES = sorted([*ROOT.glob("src/cantorkit/*.py"), *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,31 +79,49 @@ def test_a_member_request_that_argparse_refuses_still_answers_one_json_line():
                      "'1_0'\"}"]
 
 
-def export_faults(source: str) -> tuple[list[str], list[str]]:
-    """For a package's `__init__` source: the names its `__all__` lists that
-    no import binds, and the names an import binds that `__all__` leaves out."""
-    tree = ast.parse(source)
-    imported = {a.asname or a.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-                for a in node.names}
-    listed = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
-    assert len(listed) == len(set(listed)), "__all__ lists a name twice"
-    return sorted(set(listed) - imported), sorted(imported - set(listed))
+# The child prints a marker line to stderr between steps; -X importtime
+# writes each module's line as it loads, so the lines between two markers
+# are what that step loaded.
+LAZY_EXPORTS = """
+import sys
+import cantorkit
+print("-- read", file=sys.stderr)
+cantorkit.parse_spec
+print("-- star", file=sys.stderr)
+from cantorkit import *
+print("-- checks", file=sys.stderr)
+for module, names in cantorkit._EXPORTS.items():
+    for name in names:
+        assert getattr(cantorkit, name) is getattr(sys.modules["cantorkit." + module], name), name
+        assert globals()[name] is getattr(cantorkit, name), name
+assert sorted(cantorkit.__all__) == sorted(set(cantorkit.__all__)) != []
+assert set(cantorkit.__all__) <= set(dir(cantorkit))
+try:
+    cantorkit.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'cantorkit' has no attribute 'nope'", exc
+else:
+    raise AssertionError("cantorkit.nope was read")
+"""
 
 
-def test_the_export_list_is_what_the_package_imports():
-    assert export_faults((ROOT / "src/cantorkit/__init__.py").read_text()) == ([], [])
-    # The star import binds every listed name, or fails on the first it cannot.
-    code = "import cantorkit; from cantorkit import *; print(len(cantorkit.__all__))"
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+def test_a_name_loads_its_module_when_first_read():
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", LAZY_EXPORTS],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) > 0
-
-
-def test_the_export_check_sees_a_stale_or_missing_name():
-    source = ("from .exact import ClosedInterval, IntervalUnion\n"
-              "__all__ = ['ClosedInterval', 'union_gaps']\n")
-    assert export_faults(source) == (["union_gaps"], ["IntervalUnion"])
+    steps = {"import": set()}
+    step = steps["import"]
+    for line in done.stderr.splitlines():
+        if line.startswith("-- "):
+            step = steps.setdefault(line[3:], set())
+        elif line.startswith("import time:"):
+            step.add(line.rpartition("|")[2].strip())
+    ours = {step: sorted(m for m in loaded if m.startswith("cantorkit"))
+            for step, loaded in steps.items()}
+    assert ours["import"] == ["cantorkit"]
+    # spec_io and what it imports, and nothing else of the package.
+    assert ours["read"] == ["cantorkit.constructions", "cantorkit.errors", "cantorkit.exact",
+                            "cantorkit.spec_io"]
+    assert ours["star"] == ["cantorkit.analysis", "cantorkit.render"]
+    assert ours["checks"] == []
